@@ -44,3 +44,5 @@ fuzz-smoke:
 	$(GO) test -tags=invariants -run '^$$' -fuzz FuzzWFQAccounting   -fuzztime 10s ./internal/sched/
 	$(GO) test -tags=invariants -run '^$$' -fuzz FuzzMarkProbability -fuzztime 10s ./internal/core/
 	$(GO) test -tags=invariants -run '^$$' -fuzz FuzzREDDecide       -fuzztime 10s ./internal/aqm/
+	$(GO) test -tags=invariants -run '^$$' -fuzz FuzzWheelHeapEquivalence -fuzztime 10s ./internal/sim/
+	$(GO) test -tags=invariants -run '^$$' -fuzz FuzzReadTimeline    -fuzztime 10s ./internal/digest/

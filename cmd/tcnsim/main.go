@@ -68,9 +68,6 @@ func main() {
 		spansFile    = flag.String("flow-spans", "", "write per-flow lifecycle spans (FCT, bytes, marks, drops, max sojourn) as CSV to this file ('-' = stdout)")
 		samplePeriod = flag.Duration("sample-period", 100*time.Microsecond, "flight-recorder probe polling period (simulated time)")
 
-		coreName = flag.String("core", sim.DefaultCore().String(),
-			"engine event store: 'wheel' (production timing wheel) or 'heap' (the differential oracle); same-seed runs are digest-identical under either, which the wheel-oracle CI job checks with tcndiff")
-
 		fpFile  = flag.String("fingerprint", "", "write the run-fingerprint digest timeline (per-component chained digests per epoch) as JSONL to this file ('-' = stdout); diff two runs with tcndiff")
 		fpEpoch = flag.Duration("fingerprint-epoch", time.Millisecond, "fingerprint snapshot period (simulated time); both runs of a tcndiff pair must use the same period")
 		fpFine  = flag.Int64("fingerprint-fine", -1, "record per-event digests bracketed around this epoch index (-1 = off); set to the epoch tcndiff reported to localize the first divergent event")
@@ -87,16 +84,6 @@ func main() {
 			os.Exit(2)
 		}
 		return
-	}
-
-	switch *coreName {
-	case "wheel":
-		sim.SetDefaultCore(sim.CoreWheel)
-	case "heap":
-		sim.SetDefaultCore(sim.CoreHeap)
-	default:
-		fmt.Fprintf(os.Stderr, "-core %q must be 'wheel' or 'heap'\n", *coreName)
-		os.Exit(2)
 	}
 
 	csvDir = *csv
@@ -498,9 +485,7 @@ Flags: -flows N  -loads 0.5,0.9  -seed S  -full (paper scale)
        -profile-folded FILE  (same profile as folded flamegraph stacks;
           diff two runs with tcndiff -profile-a A -profile-b B)
        -profile-wall  (add wall-clock self-time per scope — telemetry
-          only, never digested; the deterministic planes stay identical)
-       -core wheel|heap  (engine event store; 'heap' is the differential
-          oracle — same-seed runs must be fingerprint-identical to 'wheel')`)
+          only, never digested; the deterministic planes stay identical)`)
 }
 
 func parseLoads(s string) []float64 {

@@ -2,6 +2,7 @@ package digest
 
 import (
 	"bytes"
+	"encoding/json"
 	"testing"
 )
 
@@ -180,6 +181,17 @@ func TestReadTimelineErrors(t *testing.T) {
 	if _, err := ReadTimeline(bytes.NewReader([]byte(noHeader))); err == nil {
 		t.Fatal("headerless stream accepted")
 	}
+	if _, err := ReadTimeline(bytes.NewReader([]byte("\n" + noHeader))); err == nil {
+		t.Fatal("headerless stream behind a blank line accepted")
+	}
+	if _, err := ReadTimeline(bytes.NewReader([]byte("\n\n\n"))); err == nil {
+		t.Fatal("stream of blank lines accepted")
+	}
+	fineFirst := `{"fine":true,"scope":"cell0","event":1,"epoch":0,"at_ns":0,"digest":"00000000000000aa"}` + "\n" +
+		`{"fingerprint":true,"seed":"0000000000000001","epoch_ns":1000,"epoch":0,"at_ns":0}` + "\n"
+	if _, err := ReadTimeline(bytes.NewReader([]byte(fineFirst))); err == nil {
+		t.Fatal("fine record before the header accepted")
+	}
 	badComp := `{"fingerprint":true,"seed":"0000000000000001","epoch_ns":1000,"epoch":0,"at_ns":0}` + "\n" +
 		`{"scope":"cell0","epoch":0,"at_ns":0,"component":"warpdrive","digest":"00000000000000aa"}` + "\n"
 	if _, err := ReadTimeline(bytes.NewReader([]byte(badComp))); err == nil {
@@ -190,6 +202,48 @@ func TestReadTimelineErrors(t *testing.T) {
 	if _, err := ReadTimeline(bytes.NewReader([]byte(badHex))); err == nil {
 		t.Fatal("bad digest hex accepted")
 	}
+}
+
+// FuzzReadTimeline feeds the fingerprint parser arbitrary bytes, seeded
+// with a real WriteJSONL stream. It must never panic, and it must reject
+// every input whose first non-blank line is not a header.
+func FuzzReadTimeline(f *testing.F) {
+	rec := New(Config{Seed: 5, EpochNs: 500, Fine: true})
+	sc := rec.ScopeFor("eng")
+	c := &counter{}
+	sc.Register(ComponentEngine, "engine", c)
+	sc.Register(ComponentPort, "port", &counter{})
+	for ev := uint64(1); ev <= 3; ev++ {
+		c.n++
+		sc.FineSnapshot(ev, int64(ev)*100)
+	}
+	sc.Snapshot(500)
+	var buf bytes.Buffer
+	if err := rec.WriteJSONL(&buf); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
+	f.Add(append([]byte("\n"), buf.Bytes()[bytes.IndexByte(buf.Bytes(), '\n')+1:]...))
+	f.Add([]byte("\n\n"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if _, err := ReadTimeline(bytes.NewReader(data)); err != nil {
+			return
+		}
+		// The parser's scanner strips one trailing CR per line and skips
+		// empty lines; the first remaining line must be a header.
+		for _, ln := range bytes.Split(data, []byte("\n")) {
+			ln = bytes.TrimSuffix(ln, []byte("\r"))
+			if len(ln) == 0 {
+				continue
+			}
+			var l lineJSON
+			if json.Unmarshal(ln, &l) != nil || !l.Fingerprint {
+				t.Fatalf("accepted a stream whose first line %q is not a header", ln)
+			}
+			return
+		}
+		t.Fatal("accepted a stream with no header")
+	})
 }
 
 func TestSnapshotZeroAlloc(t *testing.T) {

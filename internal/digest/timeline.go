@@ -81,6 +81,7 @@ func ReadTimeline(r io.Reader) (*Timeline, error) {
 	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
 	tl := &Timeline{}
 	line := 0
+	header := false
 	for sc.Scan() {
 		line++
 		raw := sc.Bytes()
@@ -91,6 +92,9 @@ func ReadTimeline(r io.Reader) (*Timeline, error) {
 		if err := json.Unmarshal(raw, &l); err != nil {
 			return nil, fmt.Errorf("digest: line %d: %w", line, err)
 		}
+		if !header && !l.Fingerprint {
+			return nil, fmt.Errorf("digest: line %d: not a fingerprint stream (missing header line)", line)
+		}
 		switch {
 		case l.Fingerprint:
 			seed, err := parseHex64(l.Seed)
@@ -99,6 +103,7 @@ func ReadTimeline(r io.Reader) (*Timeline, error) {
 			}
 			tl.Seed = seed
 			tl.EpochNs = l.EpochNs
+			header = true
 		case l.Fine:
 			d, err := parseHex64(l.Digest)
 			if err != nil {
@@ -106,9 +111,6 @@ func ReadTimeline(r io.Reader) (*Timeline, error) {
 			}
 			tl.Fine = append(tl.Fine, FineRecord{Scope: l.Scope, Event: l.Event, At: l.At, Digest: d})
 		default:
-			if line == 1 {
-				return nil, fmt.Errorf("digest: not a fingerprint stream (missing header line)")
-			}
 			c, ok := ParseComponent(l.Component)
 			if !ok {
 				return nil, fmt.Errorf("digest: line %d: unknown component %q", line, l.Component)
@@ -126,7 +128,7 @@ func ReadTimeline(r io.Reader) (*Timeline, error) {
 	if err := sc.Err(); err != nil {
 		return nil, err
 	}
-	if line == 0 {
+	if !header {
 		return nil, fmt.Errorf("digest: empty fingerprint stream")
 	}
 	return tl, nil

@@ -167,7 +167,7 @@ type DCQCNSweep struct {
 // marking at every sender count, each cell an independent engine.
 func RunDCQCNSweep(cfg DCQCNSweepConfig) DCQCNSweep {
 	cols := len(cfg.Senders)
-	flat := parallel.RunTracked(sweepWorkers(cfg.Workers, nil), 2*cols, cfg.Base.Obs.Tracker(),
+	flat := parallel.RunTracked(sweepWorkers(cfg.Workers, cfg.Base.Obs), 2*cols, cfg.Base.Obs.Tracker(),
 		func(i int) DCQCNMarkingResult {
 			c := cfg.Base
 			c.Probabilistic = i/cols == 1

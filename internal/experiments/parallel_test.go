@@ -6,6 +6,7 @@ import (
 	"sort"
 	"testing"
 
+	"tcn/internal/digest"
 	"tcn/internal/metrics"
 	"tcn/internal/obs"
 	"tcn/internal/obs/flight"
@@ -100,6 +101,31 @@ func TestDCQCNSweepParallelDeterminism(t *testing.T) {
 	par := snapshotJSON(t, RunDCQCNSweep(parallelCfg))
 	if serial != par {
 		t.Fatal("dcqcn sweep diverged between workers=1 and workers=8")
+	}
+}
+
+// TestDCQCNSweepObservedClampsWorkers checks that observers force the dcqcn
+// sweep serial like every other sweep: cells run on several goroutines
+// would interleave their records in the shared fingerprint recorder.
+func TestDCQCNSweepObservedClampsWorkers(t *testing.T) {
+	run := func(workers int) *digest.Recorder {
+		cfg := DefaultDCQCNSweep()
+		cfg.Senders = []int{2, 4}
+		cfg.Base.Warmup /= 4
+		cfg.Base.Measure /= 4
+		cfg.Workers = workers
+		rec := digest.New(digest.Config{})
+		cfg.Base.Obs = &Obs{Fingerprint: rec}
+		RunDCQCNSweep(cfg)
+		return rec
+	}
+	serial, par := run(1), run(8)
+	rep := digest.Compare(serial.Timeline(), par.Timeline())
+	if !rep.Identical {
+		t.Fatalf("observed dcqcn sweep diverged between workers=1 and workers=8: %s", rep.Divergence)
+	}
+	if rep.RecordsA == 0 {
+		t.Fatal("fingerprint recorder captured no records")
 	}
 }
 

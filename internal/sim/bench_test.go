@@ -47,10 +47,11 @@ func BenchmarkEngineScheduleCancel(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineHeapChurn keeps a deep pending set and measures pop+push
-// against it — the inlined sift paths on the heap core, slot relinks and
-// cascades on the wheel — rather than the trivial 1-element case. The name
-// predates the wheel and is kept so tcnbench baselines stay comparable.
+// BenchmarkEngineHeapChurn keeps a deep pending set and measures fire plus
+// reschedule against it — slot relinks and cascades in the wheel — rather
+// than the trivial 1-element case. The name predates the wheel, from when
+// the store was a binary heap, and is kept so tcnbench baselines stay
+// comparable.
 func BenchmarkEngineHeapChurn(b *testing.B) {
 	e := NewEngine()
 	fn := func() {}

@@ -1,22 +1,33 @@
 package sim
 
 import (
+	"fmt"
 	"testing"
-
-	"tcn/internal/digest"
 )
 
-// The wheel core must be observationally identical to the heap core: same
-// (at, seq) execution order, same clock at every callback, same engine
-// digest afterward. These tests drive both cores with byte-identical
-// workloads — randomized schedule/cancel/reschedule streams with
-// same-tick bursts, cascade-crossing horizons, and beyond-horizon spills —
-// and compare the full execution logs.
+// The engine must implement the scheduling contract exactly: pending events
+// fire in (at, seq) order, every callback sees the clock at its event's
+// instant, Cancel of a live event removes it and of anything else is a
+// no-op, and Stop ends a run after the current callback. These tests drive
+// the engine and refModel — a deliberately naive model of that contract —
+// with byte-identical op streams (same-tick bursts, cascade-crossing
+// horizons, beyond-horizon spills, stale cancels) and compare the firing
+// logs and the engine state after every op. The test names predate the
+// reference model: the wheel was first checked against the binary-heap
+// store it replaced, whose order the model pins.
 
 // equivFiring records one callback execution: which event fired and when.
 type equivFiring struct {
 	tag int64
 	at  Time
+}
+
+// equivState is the engine state the model predicts after each op.
+type equivState struct {
+	now                           Time
+	scheduled, executed, canceled uint64
+	pending, pendMax              int
+	pendSum                       uint64
 }
 
 // equivMix derives per-event deterministic "randomness" from the event's
@@ -46,147 +57,283 @@ var equivDeltas = [...]Time{
 	Time(1) << 45,
 }
 
-// runEquivWorkload drives one engine core through ops pseudo-random steps
-// plus a final drain, returning the firing log and the engine digest. All
-// control-flow decisions come from the op-stream generator r (outside
-// callbacks) or from equivMix (inside callbacks), so two runs with the
-// same seed see byte-identical workloads regardless of core.
-func runEquivWorkload(core Core, seed int64, ops int) ([]equivFiring, uint64) {
-	e := NewEngineCore(core)
+// opTarget is what an op stream drives: the engine or the reference model.
+// Handles number the scheduled events in scheduling order; fire runs the
+// workload's callback for a tag.
+type opTarget interface {
+	now() Time
+	schedule(d Time, tag int64)
+	cancel(handle int)
+	runUntil(deadline Time)
+	stop()
+	state() equivState
+}
+
+// newTarget builds a fresh target that calls fire when an event fires.
+type newTarget func(fire func(tag int64)) opTarget
+
+// engineTarget adapts the engine to opTarget.
+type engineTarget struct {
+	e    *Engine
+	fire func(any)
+	refs []EventRef
+}
+
+func newEngineTarget(fire func(tag int64)) opTarget {
+	return &engineTarget{e: NewEngine(), fire: func(v any) { fire(v.(int64)) }}
+}
+
+func (t *engineTarget) now() Time { return t.e.Now() }
+func (t *engineTarget) schedule(d Time, tag int64) {
+	t.refs = append(t.refs, t.e.AfterArg(d, t.fire, tag))
+}
+func (t *engineTarget) cancel(h int)           { t.e.Cancel(t.refs[h]) }
+func (t *engineTarget) runUntil(deadline Time) { t.e.RunUntil(deadline) }
+func (t *engineTarget) stop()                  { t.e.Stop() }
+func (t *engineTarget) state() equivState {
+	e := t.e
+	return equivState{e.Now(), e.Scheduled(), e.Executed, e.Canceled(), e.Len(), e.PendingHighWater(), e.pendSum}
+}
+
+// refModel is the reference: a pending slice searched by a linear min scan
+// over (at, seq). It has to be obviously right, not fast.
+type refModel struct {
+	clock    Time
+	seq      uint64
+	pending  []refEvent
+	handles  []uint64 // seq of each scheduled event, by handle
+	stopped  bool
+	fire     func(tag int64)
+	executed uint64
+	canceled uint64
+	pendMax  int
+}
+
+type refEvent struct {
+	at  Time
+	seq uint64
+	tag int64
+}
+
+func newRefModel(fire func(tag int64)) opTarget { return &refModel{fire: fire} }
+
+func (m *refModel) now() Time { return m.clock }
+
+func (m *refModel) schedule(d Time, tag int64) {
+	m.pending = append(m.pending, refEvent{m.clock + d, m.seq, tag})
+	m.handles = append(m.handles, m.seq)
+	m.seq++
+	m.pendMax = max(m.pendMax, len(m.pending))
+}
+
+func (m *refModel) cancel(h int) {
+	for i, ev := range m.pending {
+		if ev.seq == m.handles[h] {
+			m.pending = append(m.pending[:i], m.pending[i+1:]...)
+			m.canceled++
+			return
+		}
+	}
+}
+
+func (m *refModel) runUntil(deadline Time) {
+	m.stopped = false
+	for !m.stopped && len(m.pending) > 0 {
+		first := 0
+		for i, ev := range m.pending {
+			if ev.at < m.pending[first].at || (ev.at == m.pending[first].at && ev.seq < m.pending[first].seq) {
+				first = i
+			}
+		}
+		ev := m.pending[first]
+		if ev.at > deadline {
+			break
+		}
+		m.pending = append(m.pending[:first], m.pending[first+1:]...)
+		m.clock = ev.at
+		m.executed++
+		m.fire(ev.tag)
+	}
+	if deadline != MaxTime && m.clock < deadline && !m.stopped {
+		m.clock = deadline
+	}
+}
+
+func (m *refModel) stop() { m.stopped = true }
+
+func (m *refModel) state() equivState {
+	var sum uint64
+	for _, ev := range m.pending {
+		sum += pendMix(ev.at, ev.seq)
+	}
+	return equivState{m.clock, m.seq, m.executed, m.canceled, len(m.pending), m.pendMax, sum}
+}
+
+// equivRun is one op stream's trace: the firing log and the state after
+// every top-level op.
+type equivRun struct {
+	log    []equivFiring
+	states []equivState
+}
+
+// opStream drives one target. Callbacks log their firing. With react set
+// they may also schedule a follow-up or cancel an arbitrary handle (often
+// stale, which must be harmless), deciding from the tag alone so both
+// targets see identical work. stopTag, when >= 0, names an event whose
+// callback schedules one more event at the current instant and calls Stop.
+type opStream struct {
+	tgt     opTarget
+	run     equivRun
+	nextTag int64
+	react   bool
+	stopTag int64
+}
+
+func newOpStream(mk newTarget, react bool, stopTag int64) *opStream {
+	s := &opStream{react: react, stopTag: stopTag}
+	s.tgt = mk(s.fire)
+	return s
+}
+
+func (s *opStream) fire(tag int64) {
+	s.run.log = append(s.run.log, equivFiring{tag, s.tgt.now()})
+	if tag == s.stopTag {
+		// A same-instant event scheduled before the Stop lands ahead of
+		// the requeued remainder, which must still fire first.
+		s.schedule(0)
+		s.tgt.stop()
+	}
+	if !s.react {
+		return
+	}
+	m := equivMix(tag)
+	if m%3 == 0 {
+		s.schedule(equivDeltas[(m>>8)%uint64(len(equivDeltas))])
+	}
+	if m%7 == 0 && s.nextTag > 0 {
+		s.tgt.cancel(int((m >> 16) % uint64(s.nextTag)))
+	}
+}
+
+func (s *opStream) schedule(d Time) {
+	s.tgt.schedule(d, s.nextTag)
+	s.nextTag++
+}
+
+// op ends one top-level op: it asserts the conservation law and records
+// the state.
+func (s *opStream) op(t *testing.T) {
+	st := s.tgt.state()
+	if st.scheduled != st.executed+st.canceled+uint64(st.pending) {
+		t.Fatalf("conservation broken after op %d: scheduled %d != executed %d + canceled %d + pending %d",
+			len(s.run.states), st.scheduled, st.executed, st.canceled, st.pending)
+	}
+	s.run.states = append(s.run.states, st)
+}
+
+// compareRuns fails on the first difference between the engine's trace and
+// the model's.
+func compareRuns(t *testing.T, what string, eng, ref equivRun) {
+	t.Helper()
+	for i := 0; i < min(len(eng.log), len(ref.log)); i++ {
+		if eng.log[i] != ref.log[i] {
+			t.Fatalf("%s: firing %d diverged: engine %+v, reference %+v", what, i, eng.log[i], ref.log[i])
+		}
+	}
+	if len(eng.log) != len(ref.log) {
+		t.Fatalf("%s: engine fired %d events, reference %d", what, len(eng.log), len(ref.log))
+	}
+	for i := range eng.states {
+		if eng.states[i] != ref.states[i] {
+			t.Fatalf("%s: state after op %d diverged:\nengine    %+v\nreference %+v", what, i, eng.states[i], ref.states[i])
+		}
+	}
+}
+
+// runEquivWorkload drives one target through ops pseudo-random steps plus a
+// final drain. All control flow comes from the op-stream generator r
+// (outside callbacks) or from equivMix (inside callbacks), so the engine
+// and the model see byte-identical workloads.
+func runEquivWorkload(t *testing.T, mk newTarget, seed int64, ops int) equivRun {
+	s := newOpStream(mk, true, -1)
 	r := NewRand(seed)
-	var log []equivFiring
-	var refs []EventRef
-	var nextTag int64
-
-	var fire func(v any)
-	schedule := func(d Time) {
-		tag := nextTag
-		nextTag++
-		refs = append(refs, e.AfterArg(d, fire, tag))
-	}
-	fire = func(v any) {
-		tag := v.(int64)
-		log = append(log, equivFiring{tag, e.Now()})
-		m := equivMix(tag)
-		// A third of events schedule a follow-up; horizons derived from
-		// the tag so both cores make the same choice.
-		if m%3 == 0 {
-			schedule(equivDeltas[(m>>8)%uint64(len(equivDeltas))])
-		}
-		// Some events cancel an arbitrary outstanding ref (often stale —
-		// that must be harmless and identical on both cores).
-		if m%7 == 0 && len(refs) > 0 {
-			e.Cancel(refs[(m>>16)%uint64(len(refs))])
-		}
-	}
-
 	for i := 0; i < ops; i++ {
 		switch c := r.Range(0, 100); {
 		case c < 55:
-			schedule(equivDeltas[r.Range(0, len(equivDeltas)-1)])
+			s.schedule(equivDeltas[r.Range(0, len(equivDeltas)-1)])
 		case c < 65:
 			// Same-tick burst: several events at one instant exercises
 			// the same-instant run drain.
 			d := equivDeltas[r.Range(0, len(equivDeltas)-1)]
 			for k := r.Range(2, 6); k > 0; k-- {
-				schedule(d)
+				s.schedule(d)
 			}
 		case c < 80:
-			if len(refs) > 0 {
-				e.Cancel(refs[r.Range(0, len(refs)-1)])
+			if s.nextTag > 0 {
+				s.tgt.cancel(r.Range(0, int(s.nextTag)-1))
 			}
 		default:
-			e.RunUntil(e.Now() + Time(r.Range(0, int(2*Millisecond))))
+			s.tgt.runUntil(s.tgt.now() + Time(r.Range(0, int(2*Millisecond))))
 		}
+		s.op(t)
 	}
-	e.Run()
-
-	h := digest.NewHash(uint64(seed))
-	e.DigestState(&h)
-	return log, h.Sum64()
+	s.tgt.runUntil(MaxTime)
+	s.op(t)
+	return s.run
 }
 
-// TestWheelHeapEquivalence is the property test: across seeds, the wheel
-// and heap cores must produce identical firing logs (same events, same
-// order, same clock) and identical engine digests.
+// TestWheelHeapEquivalence is the property test: across seeds, the engine
+// and the reference model must fire the same events in the same order at
+// the same clock, and agree on the engine state after every op.
 func TestWheelHeapEquivalence(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
-		wheelLog, wheelSum := runEquivWorkload(CoreWheel, seed, 2000)
-		heapLog, heapSum := runEquivWorkload(CoreHeap, seed, 2000)
-		if len(wheelLog) != len(heapLog) {
-			t.Fatalf("seed %d: wheel fired %d events, heap %d", seed, len(wheelLog), len(heapLog))
-		}
-		for i := range wheelLog {
-			if wheelLog[i] != heapLog[i] {
-				t.Fatalf("seed %d: firing %d diverged: wheel (tag %d at %v), heap (tag %d at %v)",
-					seed, i, wheelLog[i].tag, wheelLog[i].at, heapLog[i].tag, heapLog[i].at)
-			}
-		}
-		if wheelSum != heapSum {
-			t.Fatalf("seed %d: digest diverged: wheel %016x, heap %016x", seed, wheelSum, heapSum)
-		}
-		if len(wheelLog) == 0 {
+		eng := runEquivWorkload(t, newEngineTarget, seed, 2000)
+		ref := runEquivWorkload(t, newRefModel, seed, 2000)
+		compareRuns(t, fmt.Sprintf("seed %d", seed), eng, ref)
+		if len(eng.log) == 0 {
 			t.Fatalf("seed %d: workload fired no events", seed)
 		}
 	}
 }
 
-// TestWheelHeapEquivalenceStop checks the equivalence across mid-run Stop:
-// a callback stops the engine, the wheel requeues its detached remainder,
-// and both cores must agree on what has and has not fired when the run
-// resumes.
+// TestWheelHeapEquivalenceStop checks Stop and resume: a callback in the
+// middle of a same-instant burst schedules one more event at that instant
+// and stops the engine, the wheel requeues its detached remainder behind
+// that event, and the engine and the model must agree on what has and has
+// not fired when the run resumes.
 func TestWheelHeapEquivalenceStop(t *testing.T) {
-	run := func(core Core) ([]equivFiring, uint64) {
-		e := NewEngineCore(core)
-		var log []equivFiring
-		var tag int64
-		rec := func(v any) { log = append(log, equivFiring{v.(int64), e.Now()}) }
-		add := func(d Time) {
-			e.AfterArg(d, rec, tag)
-			tag++
+	const stopTag = 5
+	run := func(mk newTarget) equivRun {
+		s := newOpStream(mk, false, stopTag)
+		// A same-instant burst with a Stop in the middle (tags 0-9), then
+		// one later event.
+		for i := 0; i < 10; i++ {
+			s.schedule(10 * Nanosecond)
 		}
-		// A same-instant burst with a Stop in the middle.
-		for i := 0; i < 5; i++ {
-			add(10 * Nanosecond)
-		}
-		stopTag := tag
-		e.AtArg(10*Nanosecond, func(v any) {
-			log = append(log, equivFiring{v.(int64), e.Now()})
-			e.Stop()
-		}, stopTag)
-		tag++
-		for i := 0; i < 4; i++ {
-			add(10 * Nanosecond)
-		}
-		add(20 * Nanosecond)
-		e.Run() // runs until the Stop
-		// Schedule more same-instant events while the remainder is parked,
-		// then drain: the requeued events must still fire first (smaller
-		// seq).
-		add(0)
-		e.Run()
-		h := digest.NewHash(7)
-		e.DigestState(&h)
-		return log, h.Sum64()
+		s.schedule(20 * Nanosecond)
+		s.op(t)
+		s.tgt.runUntil(MaxTime) // runs until the Stop
+		s.op(t)
+		// Schedule more same-instant events while the remainder is
+		// parked, then drain: the requeued events must still fire first
+		// (smaller seq).
+		s.schedule(0)
+		s.op(t)
+		s.tgt.runUntil(MaxTime)
+		s.op(t)
+		return s.run
 	}
-	wheelLog, wheelSum := run(CoreWheel)
-	heapLog, heapSum := run(CoreHeap)
-	if len(wheelLog) != len(heapLog) {
-		t.Fatalf("wheel fired %d, heap %d", len(wheelLog), len(heapLog))
-	}
-	for i := range wheelLog {
-		if wheelLog[i] != heapLog[i] {
-			t.Fatalf("firing %d diverged: wheel %+v, heap %+v", i, wheelLog[i], heapLog[i])
-		}
-	}
-	if wheelSum != heapSum {
-		t.Fatalf("digest diverged: wheel %016x, heap %016x", wheelSum, heapSum)
+	eng, ref := run(newEngineTarget), run(newRefModel)
+	compareRuns(t, "stop", eng, ref)
+	if got := eng.states[1].executed; got != stopTag+1 {
+		t.Fatalf("engine ran %d events before the Stop, want %d", got, stopTag+1)
 	}
 }
 
 // FuzzWheelHeapEquivalence interprets the fuzz input as an op stream and
-// cross-checks the cores on it. Each byte pair is one op: schedule at one
-// of the delta buckets, cancel an outstanding ref, or run a bounded chunk.
+// checks the engine against the reference model on it. Each byte pair is
+// one op: schedule at one of the delta buckets, cancel a handle, or run a
+// bounded chunk.
 func FuzzWheelHeapEquivalence(f *testing.F) {
 	f.Add([]byte{0x00, 0x01, 0x22, 0x53, 0x84, 0xb5, 0xe6, 0x17, 0x48, 0x79})
 	f.Add([]byte{0xff, 0xfe, 0xfd, 0xfc, 0x00, 0x00, 0x00, 0x00})
@@ -195,44 +342,26 @@ func FuzzWheelHeapEquivalence(f *testing.F) {
 		if len(data) > 4096 {
 			data = data[:4096]
 		}
-		run := func(core Core) ([]equivFiring, uint64) {
-			e := NewEngineCore(core)
-			var log []equivFiring
-			var refs []EventRef
-			var tag int64
-			rec := func(v any) { log = append(log, equivFiring{v.(int64), e.Now()}) }
+		run := func(mk newTarget) equivRun {
+			s := newOpStream(mk, false, -1)
 			for i := 0; i+1 < len(data); i += 2 {
 				op, arg := data[i], data[i+1]
 				switch op % 4 {
 				case 0, 1:
-					d := equivDeltas[int(arg)%len(equivDeltas)]
-					refs = append(refs, e.AfterArg(d, rec, tag))
-					tag++
+					s.schedule(equivDeltas[int(arg)%len(equivDeltas)])
 				case 2:
-					if len(refs) > 0 {
-						e.Cancel(refs[int(arg)%len(refs)])
+					if s.nextTag > 0 {
+						s.tgt.cancel(int(arg) % int(s.nextTag))
 					}
 				case 3:
-					e.RunUntil(e.Now() + Time(arg)*Microsecond)
+					s.tgt.runUntil(s.tgt.now() + Time(arg)*Microsecond)
 				}
+				s.op(t)
 			}
-			e.Run()
-			h := digest.NewHash(1)
-			e.DigestState(&h)
-			return log, h.Sum64()
+			s.tgt.runUntil(MaxTime)
+			s.op(t)
+			return s.run
 		}
-		wheelLog, wheelSum := run(CoreWheel)
-		heapLog, heapSum := run(CoreHeap)
-		if len(wheelLog) != len(heapLog) {
-			t.Fatalf("wheel fired %d events, heap %d", len(wheelLog), len(heapLog))
-		}
-		for i := range wheelLog {
-			if wheelLog[i] != heapLog[i] {
-				t.Fatalf("firing %d diverged: wheel %+v, heap %+v", i, wheelLog[i], heapLog[i])
-			}
-		}
-		if wheelSum != heapSum {
-			t.Fatalf("digest diverged: wheel %016x, heap %016x", wheelSum, heapSum)
-		}
+		compareRuns(t, "fuzz", run(newEngineTarget), run(newRefModel))
 	})
 }

@@ -56,7 +56,7 @@ func TestStaleRefAfterRecycle(t *testing.T) {
 	}
 }
 
-// TestCancelRecyclesNode checks eager cancellation: the node leaves the heap
+// TestCancelRecyclesNode checks eager cancellation: the node leaves the wheel
 // and returns to the freelist immediately.
 func TestCancelRecyclesNode(t *testing.T) {
 	e := NewEngine()

@@ -6,25 +6,22 @@
 // they were scheduled (a monotonically increasing sequence number breaks
 // ties), which makes every simulation fully deterministic for a given seed.
 //
-// Two stores implement that contract. The default is a hierarchical timing
-// wheel (wheel.go): O(1) schedule, cancel, and fire for the short-horizon
-// events that dominate simulations — serialization, token refill, RTO
-// arm/disarm, sampler ticks — with cascading overflow levels for far
-// timers, a sorted spill list beyond the horizon, and a same-instant batch
-// drain so one cursor scan serves a whole burst. The original binary
-// min-heap (hand-inlined sift-up/sift-down, no container/heap dispatch) is
-// retained behind NewEngineCore/TCN_ENGINE_CORE as a differential oracle;
-// both cores produce byte-identical digests and execution orders, and the
-// equivalence fuzz test drives them against each other.
+// The store is a hierarchical timing wheel (wheel.go): O(1) schedule,
+// cancel, and fire for the short-horizon events that dominate simulations —
+// serialization, token refill, RTO arm/disarm, sampler ticks — with
+// cascading overflow levels for far timers, a sorted spill list beyond the
+// horizon, and a same-instant batch drain so one cursor scan serves a whole
+// burst. The tests pin the (at, seq) order against a small reference model
+// of the contract (equiv_test.go) and pin whole runs with golden
+// fingerprints.
 //
 // The event store is allocation-free in steady state: fired and canceled
 // events return to a per-engine freelist and are handed out again by the
 // next At/After call. Event structs must keep stable addresses so EventRef
-// can refer to them across store moves, which is why both stores hold
-// pointers into the freelist's nodes rather than event values; a
-// generation counter on each node keeps stale references (to events that
-// have since fired, been canceled, and been reissued) from acting on the
-// wrong event.
+// can refer to them across store moves, which is why the wheel links the
+// freelist's nodes rather than holding event values; a generation counter
+// on each node keeps stale references (to events that have since fired,
+// been canceled, and been reissued) from acting on the wrong event.
 //
 // An Engine and everything scheduled on it belong to exactly one goroutine.
 // Engines, their freelists, and the *Rand feeding an experiment must never
@@ -39,6 +36,7 @@ import (
 	"math"
 
 	"tcn/internal/digest"
+	"tcn/internal/invariant"
 )
 
 // Time is a point in virtual time, in nanoseconds since the start of the
@@ -86,17 +84,16 @@ func (t Time) String() string {
 // of fn and afn is set; afn carries its argument in arg so per-packet
 // scheduling needs no closure allocation.
 type event struct {
-	at    Time
-	seq   uint64
-	gen   uint64
-	mix   uint64 // cached pendMix(at, seq); computed in alloc, spent in retire
-	index int    // heap core: heap index; -1 when not queued
-	slot  int32  // wheel core: flat slot index, or slotNone/slotSpill/slotRun
-	next  *event // wheel core: slot/spill list links
-	prev  *event
-	fn    func()
-	afn   func(any)
-	arg   any
+	at   Time
+	seq  uint64
+	gen  uint64
+	mix  uint64 // cached pendMix(at, seq); computed in alloc, spent in retire
+	slot int32  // flat wheel slot index, or slotNone/slotSpill/slotRun
+	next *event // slot/spill list links
+	prev *event
+	fn   func()
+	afn  func(any)
+	arg  any
 }
 
 // EventRef refers to a scheduled event so it can be canceled or inspected.
@@ -131,8 +128,7 @@ func (r EventRef) At() Time {
 type Engine struct {
 	now     Time
 	seq     uint64
-	wheel   *wheel   // timing-wheel store (nil on the heap core)
-	events  []*event // heap core: binary min-heap ordered by (at, seq)
+	wheel   *wheel
 	free    []*event // retired nodes awaiting reuse
 	stopped bool
 
@@ -147,13 +143,13 @@ type Engine struct {
 	scheduled uint64 // events handed out by At/AtArg
 	canceled  uint64 // live events removed by Cancel
 	recycled  uint64 // alloc calls satisfied from the freelist
-	pendMax   int    // pending-event high-water mark (both cores)
+	pendMax   int    // pending-event high-water mark
 
 	// pendSum is a commutative accumulator over the pending multiset:
 	// scheduling adds a mix of (at, seq), retiring subtracts it. Order-
-	// independent, so both cores produce the same value and DigestState
-	// stays O(1) in the pending count — which matters because fine-mode
-	// fingerprinting digests the engine after every event.
+	// independent, so it depends on the schedule history alone, and
+	// DigestState stays O(1) in the pending count — which matters because
+	// fine-mode fingerprinting digests the engine after every event.
 	pendSum uint64
 
 	// meter, when set, receives batched event counts so another
@@ -169,21 +165,19 @@ type Engine struct {
 	postEvent PostEventHook
 }
 
-// NewEngine returns an engine on the default core with the clock at zero.
-func NewEngine() *Engine { return NewEngineCore(defaultCore) }
+// NewEngine returns an engine with the clock at zero.
+func NewEngine() *Engine { return &Engine{wheel: newWheel()} }
 
 // Now returns the current virtual time.
 func (e *Engine) Now() Time { return e.now }
 
 // Len returns the number of pending events. Canceled events are removed
 // from the store eagerly, so they are never counted. Events of the instant
-// currently executing that have not yet fired count as pending on both
-// cores, even though the wheel has already detached them into its run.
+// currently executing that have not yet fired count as pending, even
+// though the wheel has already detached them into its run.
 func (e *Engine) Len() int {
-	if w := e.wheel; w != nil {
-		return w.pending + w.spillCount + w.inRun
-	}
-	return len(e.events)
+	w := e.wheel
+	return w.pending + w.spillCount + w.inRun
 }
 
 // pendMix folds an event's identity into the pendSum accumulator. The
@@ -228,121 +222,19 @@ func (e *Engine) retire(ev *event) {
 	ev.afn = nil
 	ev.arg = nil
 	ev.gen++
-	ev.index = -1
 	ev.slot = slotNone
 	ev.next = nil
 	ev.prev = nil
 	e.free = append(e.free, ev) //tcnlint:hotpath freelist grows only until the event population peaks, then recycles
 }
 
-// enqueue files a freshly allocated event into the active store and
-// advances the pending high-water mark. Both cores compute the mark from
-// the same quantity (live pending events after the insert), so it digests
-// identically across them.
+// enqueue files a freshly allocated event into the wheel and advances
+// the pending high-water mark.
 func (e *Engine) enqueue(ev *event) {
-	if w := e.wheel; w != nil {
-		w.place(ev)
-		if l := w.pending + w.spillCount + w.inRun; l > e.pendMax {
-			e.pendMax = l
-		}
-		return
+	e.wheel.place(ev)
+	if l := e.Len(); l > e.pendMax {
+		e.pendMax = l
 	}
-	e.push(ev)
-}
-
-// eventLess orders the heap by (at, seq): time first, scheduling order
-// within the same instant.
-func eventLess(a, b *event) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	return a.seq < b.seq
-}
-
-// push appends ev and restores the heap by sifting it up.
-func (e *Engine) push(ev *event) {
-	e.events = append(e.events, ev) //tcnlint:hotpath heap grows to its high-water mark once, then reuses the backing array
-	if len(e.events) > e.pendMax {
-		e.pendMax = len(e.events)
-	}
-	e.siftUp(len(e.events) - 1)
-}
-
-// siftUp moves the node at index i toward the root until its parent is not
-// later than it.
-func (e *Engine) siftUp(i int) {
-	h := e.events
-	ev := h[i]
-	for i > 0 {
-		p := (i - 1) / 2
-		if !eventLess(ev, h[p]) {
-			break
-		}
-		h[i] = h[p]
-		h[i].index = i
-		i = p
-	}
-	h[i] = ev
-	ev.index = i
-}
-
-// siftDown moves the node at index i toward the leaves until both children
-// are not earlier than it.
-func (e *Engine) siftDown(i int) {
-	h := e.events
-	n := len(h)
-	ev := h[i]
-	for {
-		l := 2*i + 1
-		if l >= n {
-			break
-		}
-		c := l
-		if r := l + 1; r < n && eventLess(h[r], h[l]) {
-			c = r
-		}
-		if !eventLess(h[c], ev) {
-			break
-		}
-		h[i] = h[c]
-		h[i].index = i
-		i = c
-	}
-	h[i] = ev
-	ev.index = i
-}
-
-// popRoot removes and returns the earliest event.
-func (e *Engine) popRoot() *event {
-	h := e.events
-	root := h[0]
-	n := len(h) - 1
-	last := h[n]
-	h[n] = nil
-	e.events = h[:n]
-	if n > 0 {
-		h[0] = last
-		e.siftDown(0)
-	}
-	root.index = -1
-	return root
-}
-
-// remove deletes the event at heap index i.
-func (e *Engine) remove(i int) {
-	h := e.events
-	ev := h[i]
-	n := len(h) - 1
-	last := h[n]
-	h[n] = nil
-	e.events = h[:n]
-	if i < n {
-		h[i] = last
-		h[i].index = i
-		e.siftDown(i)
-		e.siftUp(i)
-	}
-	ev.index = -1
 }
 
 // At schedules fn to run at absolute time t. Scheduling in the past panics:
@@ -391,19 +283,14 @@ func (e *Engine) AfterArg(d Time, fn func(any), arg any) EventRef {
 
 // Cancel prevents a pending event from firing by removing it from the
 // store immediately (its node is recycled at once). Canceling an already-
-// fired, already-canceled, or zero reference is a no-op. On the wheel core
-// this is O(1) — the RTO arm/disarm churn of every ACK pays two pointer
-// unlinks instead of a heap sift.
+// fired, already-canceled, or zero reference is a no-op. This is O(1) —
+// the RTO arm/disarm churn of every ACK pays two pointer unlinks.
 func (e *Engine) Cancel(r EventRef) {
 	if r.ev == nil || r.ev.gen != r.gen {
 		return
 	}
 	e.canceled++
-	if e.wheel != nil {
-		e.wheel.unqueue(r.ev)
-	} else {
-		e.remove(r.ev.index)
-	}
+	e.wheel.unqueue(r.ev)
 	e.retire(r.ev)
 }
 
@@ -459,68 +346,33 @@ func (e *Engine) Run() { e.RunUntil(MaxTime) }
 // reuse the storage for the events it schedules, and a self-referencing
 // EventRef (a timer canceling itself from its own handler) is already
 // stale by the time the handler executes.
+//
+// Every exit keeps the engine's conservation law: each scheduled event
+// has fired, been canceled, or is still pending. Builds with the
+// invariants tag assert it here.
 func (e *Engine) RunUntil(deadline Time) uint64 {
 	e.stopped = false
-	var n uint64
-	if e.wheel != nil {
-		n = e.runWheel(deadline)
-	} else {
-		n = e.runHeap(deadline)
-	}
+	n := e.runWheel(deadline)
 	if deadline != MaxTime && e.now < deadline && !e.stopped {
 		e.now = deadline
 	}
 	if e.meter != nil {
 		e.flushMeter()
 	}
-	return n
-}
-
-// runHeap is RunUntil's heap-core loop: pop the root, fire, repeat.
-func (e *Engine) runHeap(deadline Time) uint64 {
-	var n uint64
-	for len(e.events) > 0 && !e.stopped {
-		next := e.events[0]
-		if next.at > deadline {
-			break
-		}
-		e.popRoot()
-		e.now = next.at
-		fn, afn, arg := next.fn, next.afn, next.arg
-		e.retire(next)
-		if afn != nil {
-			afn(arg)
-		} else {
-			fn()
-		}
-		n++
-		e.Executed++
-		if e.postEvent != nil {
-			e.postEvent(e.now, e.Executed)
-		}
-		if e.meter != nil {
-			e.meterPend++
-			if e.meterPend >= meterBatch {
-				e.flushMeter()
-			}
-		}
+	// The arguments are built only on failure: boxing them would allocate
+	// on every call and break the engine's zero-alloc pins.
+	if invariant.Enabled && e.scheduled != e.Executed+e.canceled+uint64(e.Len()) {
+		invariant.Checkf(false, "sim: scheduled %d != executed %d + canceled %d + pending %d",
+			e.scheduled, e.Executed, e.canceled, e.Len())
 	}
 	return n
 }
 
-// NextEventTime reports the timestamp of the earliest pending event. On
-// the wheel core the lookup may advance the scan cursor and cascade
-// windows, which never perturbs event order or digests; call it between
-// runs, not from inside a callback.
-func (e *Engine) NextEventTime() (Time, bool) {
-	if e.wheel != nil {
-		return e.wheel.findNext(MaxTime)
-	}
-	if len(e.events) > 0 {
-		return e.events[0].at, true
-	}
-	return 0, false
-}
+// NextEventTime reports the timestamp of the earliest pending event. The
+// lookup may advance the wheel's scan cursor and cascade windows, which
+// never perturbs event order or digests; call it between runs, not from
+// inside a callback.
+func (e *Engine) NextEventTime() (Time, bool) { return e.wheel.findNext(MaxTime) }
 
 // Self-telemetry accessors; see internal/obs/perf for the layer that
 // aggregates them across a campaign.
@@ -538,27 +390,16 @@ func (e *Engine) Canceled() uint64 { return e.canceled }
 func (e *Engine) Recycled() uint64 { return e.recycled }
 
 // PendingHighWater returns the largest number of simultaneously pending
-// events observed (formerly the heap high-water mark; the wheel core
-// tracks the same quantity).
+// events observed.
 func (e *Engine) PendingHighWater() int { return e.pendMax }
 
 // Cascades returns the number of events the wheel re-placed downward
-// while crossing window boundaries; 0 on the heap core.
-func (e *Engine) Cascades() uint64 {
-	if e.wheel != nil {
-		return e.wheel.cascaded
-	}
-	return 0
-}
+// while crossing window boundaries.
+func (e *Engine) Cascades() uint64 { return e.wheel.cascaded }
 
 // Spills returns the number of events scheduled beyond the wheel horizon
-// onto the sorted spill list; 0 on the heap core.
-func (e *Engine) Spills() uint64 {
-	if e.wheel != nil {
-		return e.wheel.spilled
-	}
-	return 0
-}
+// onto the sorted spill list.
+func (e *Engine) Spills() uint64 { return e.wheel.spilled }
 
 // FreelistLen returns the number of retired event nodes currently parked
 // for reuse.
@@ -568,10 +409,9 @@ func (e *Engine) FreelistLen() int { return len(e.free) }
 // the clock, the counters, the pending multiset (via the commutative
 // pendSum accumulator plus its count and high-water mark), and the
 // freelist's generation counters. Every field is a function of the
-// schedule/fire/cancel history alone — not of the store's internal layout
-// — so the wheel and heap cores digest identically on the same history,
-// two byte-identical runs digest identically, and any divergence in event
-// timing or ordering shows up at the epoch it happens. The accumulator
+// schedule/fire/cancel history alone — not of the wheel's internal
+// layout — so two byte-identical runs digest identically, and any
+// divergence in event timing or ordering shows up at the epoch it happens. The accumulator
 // keeps the digest O(1) in the pending count, which fine-mode
 // fingerprinting (one engine digest per event) depends on.
 func (e *Engine) DigestState(h *digest.Hash) {

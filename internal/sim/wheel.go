@@ -70,7 +70,7 @@ func hiShift(lvl int) uint { return l0Bits + uint(lvl-1)*wheelBits }
 // level 0 uses [0, l0Slots), level lvl >= 1 uses
 // l0Slots + (lvl-1)*wheelSlots + slot).
 const (
-	slotNone  = -1 // not queued: retired, executing, or heap-core
+	slotNone  = -1 // not queued: retired or executing
 	slotSpill = -2 // on the beyond-horizon spill list
 	slotRun   = -3 // detached into the current same-instant run
 )
@@ -475,11 +475,11 @@ func insertionSortRun(run []runEntry) {
 	}
 }
 
-// runWheel is RunUntil's wheel-core loop: find the next occupied instant,
+// runWheel is RunUntil's loop: find the next occupied instant,
 // detach its whole run, and execute it in seq order. Events a callback
 // schedules at the current instant land back in the slot with larger seq
-// and are drained by the next findNext iteration, preserving the heap's
-// exact (at, seq) total order.
+// and are drained by the next findNext iteration, preserving the exact
+// (at, seq) total order.
 func (e *Engine) runWheel(deadline Time) uint64 {
 	w := e.wheel
 	var n uint64
