@@ -103,18 +103,17 @@ func (o *Obs) attachFingerprint(eng *sim.Engine) {
 	if o.Ledger != nil {
 		sc.Register(digest.ComponentLedger, "ledger", o.Ledger)
 	}
-	// Self-rescheduling epoch ticker, the flight-recorder idiom: the first
-	// snapshot fires at t=0 (after setup, when the run starts) and then
-	// every EpochNs of sim time, so two comparable runs snapshot at
-	// identical instants. The ticker adds events to the heap, which is why
+	// Epoch ticker: the first snapshot fires at t=0 (after setup, when
+	// the run starts) and then every EpochNs of sim time, so two
+	// comparable runs snapshot at identical instants. It stops once the
+	// cell's model has run out of events and every ticker on the engine
+	// has ticked once more (sim.Engine.Every), so the epochs cover the
+	// whole run and its final state, but not the idle tail up to the
+	// deadline. The ticks are engine events, which is why
 	// fingerprinted runs are only compared against fingerprinted runs.
-	period := sim.Time(fp.EpochNs())
-	var tick func()
-	tick = func() {
+	eng.Every(sim.Time(fp.EpochNs()), func() {
 		sc.Snapshot(int64(eng.Now()))
-		eng.After(period, tick)
-	}
-	eng.After(0, tick)
+	})
 	if fp.FineEnabled() {
 		// Fine mode: digest the whole scope after every executed event.
 		// Outside the requested two-epoch bracket this is one boolean

@@ -2,10 +2,14 @@ package experiments
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 
+	"tcn/internal/digest"
 	"tcn/internal/obs"
+	"tcn/internal/obs/flight"
+	"tcn/internal/obs/perf"
 	"tcn/internal/sim"
 	"tcn/internal/trace"
 )
@@ -115,5 +119,82 @@ func TestObsInstrumentedResultUnchanged(t *testing.T) {
 	if bare.Points[0] != observed.Points[0] {
 		t.Fatalf("instrumentation perturbed the run:\nbare     %+v\nobserved %+v",
 			bare.Points[0], observed.Points[0])
+	}
+}
+
+// TestObserversNeverExtendARun accounts for every event an observed FCT
+// cell executes beyond its bare twin: one per fingerprint epoch and one
+// per flight tick, and nothing for an idle tail, because both tickers stop
+// once the model has drained and each has sampled the final state. The
+// results must not move.
+func TestObserversNeverExtendARun(t *testing.T) {
+	ls := ciLeafSpine()
+	ls.Flows = 60
+	for _, tc := range []struct {
+		name string
+		run  func(o *Obs) any
+	}{
+		{"fig6-cell", func(o *Obs) any {
+			return RunTestbedFCT(TestbedFCTConfig{
+				Scheme: SchemeTCN, Sched: SchedDWRR, Load: 0.6, Flows: 40, Seed: 1, Obs: o,
+			})
+		}},
+		{"leafspine-cell", func(o *Obs) any {
+			c := ls
+			c.Obs = o
+			return RunLeafSpine(c)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			bare := &Obs{Perf: perf.NewCampaign(nil)}
+			bareRes := tc.run(bare)
+			fp := digest.New(digest.Config{})
+			fl := flight.New(flight.Config{})
+			observed := &Obs{Perf: perf.NewCampaign(nil), Fingerprint: fp, Flight: fl}
+			obsRes := tc.run(observed)
+			if !reflect.DeepEqual(bareRes, obsRes) {
+				t.Fatalf("observers changed the result:\nbare     %+v\nobserved %+v", bareRes, obsRes)
+			}
+
+			var epochs int64
+			for _, r := range fp.Records() {
+				if r.Component == digest.ComponentEngine {
+					epochs++
+				}
+			}
+			series := fl.AllSeries()
+			if len(series) == 0 {
+				t.Fatal("flight recorder registered no probes")
+			}
+			ticks := series[0].Offered()
+			for _, s := range series {
+				if s.Offered() != ticks {
+					t.Fatalf("probe %s sampled %d times, %s %d; want one shared ticker",
+						s.Name(), s.Offered(), series[0].Name(), ticks)
+				}
+			}
+			// Both tickers sample the state after the switches' last
+			// transmission, and neither outlives the model: the last
+			// epoch and the last probe sample fall within two epochs of
+			// it, not out at the deadline.
+			var lastTx sim.Time
+			for _, sp := range fl.Spans().Spans() {
+				lastTx = max(lastTx, sp.LastDeq)
+			}
+			epoch := sim.Time(fp.EpochNs())
+			lastEpoch := sim.Time(fp.Records()[len(fp.Records())-1].At)
+			lastProbe := series[0].Last().At
+			for _, last := range []sim.Time{lastEpoch, lastProbe} {
+				if last < lastTx || last > lastTx+2*epoch {
+					t.Fatalf("last epoch at %v, last probe at %v; last transmission at %v", lastEpoch, lastProbe, lastTx)
+				}
+			}
+			b := bare.Perf.SnapshotNow(false).EventsExecuted
+			o := observed.Perf.SnapshotNow(false).EventsExecuted
+			if want := b + uint64(epochs) + uint64(ticks); o != want {
+				t.Fatalf("observed run executed %d events, want bare %d + epochs %d + flight ticks %d = %d",
+					o, b, epochs, ticks, want)
+			}
+		})
 	}
 }

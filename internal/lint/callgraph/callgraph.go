@@ -526,12 +526,14 @@ func (g *Graph) Roots(match func(*Node) bool) []*Node {
 
 // Reachable computes the set of nodes reachable from roots through static,
 // interface (CHA), and dynamic (signature-matched, escaping) edges, plus
-// the direct edges recorded for frame-local function references.
-func (g *Graph) Reachable(roots []*Node) map[*Node]bool {
+// the direct edges recorded for frame-local function references. Nodes
+// for which stop reports true (stop may be nil) are boundaries: they are
+// neither included nor walked through.
+func (g *Graph) Reachable(roots []*Node, stop func(*Node) bool) map[*Node]bool {
 	seen := map[*Node]bool{}
 	var queue []*Node
 	push := func(n *Node) {
-		if n != nil && !seen[n] {
+		if n != nil && !seen[n] && (stop == nil || !stop(n)) {
 			seen[n] = true
 			queue = append(queue, n)
 		}

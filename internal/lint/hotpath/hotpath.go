@@ -30,9 +30,12 @@
 // builds compile the whole call away because invariant.Enabled is a
 // constant false without the invariants tag), and the bodies of
 // `if invariant.Enabled { ... }` guards (dead-code-eliminated the same
-// way). Anything else the conservative graph reaches that is genuinely
-// cold — one-time warm-up, rare resize — is waived line by line with
-// `//tcnlint:hotpath` and a justification.
+// way). A function declared with `//tcnlint:cold <reason>` on the line
+// above it runs only on an explicit, rare request (a consumer asking for
+// a snapshot); the walk stops at it, so neither its body nor what only it
+// reaches is checked. Anything else the conservative graph reaches that is
+// genuinely cold — one-time warm-up, rare resize — is waived line by line
+// with `//tcnlint:hotpath` and a justification.
 package hotpath
 
 import (
@@ -105,7 +108,9 @@ func run(pass *analysis.Pass) (any, error) {
 		return nil, nil
 	}
 	g := callgraph.ModuleGraph(pass)
-	reach := g.Reachable(g.Roots(isRoot))
+	reach := g.Reachable(g.Roots(isRoot), func(n *callgraph.Node) bool {
+		return isColdFunc(pass, n)
+	})
 
 	for n := range reach {
 		if n.Pkg != pass.Pkg || n.Body == nil {
@@ -159,6 +164,14 @@ func checkNode(pass *analysis.Pass, n *callgraph.Node) {
 		return true
 	}
 	ast.Inspect(n.Body, walk)
+}
+
+// isColdFunc reports a declared function marked `//tcnlint:cold <reason>`
+// on the line above its declaration (the last line of its doc comment).
+// Such a function runs only on an explicit, rare request, so the walk
+// stops there: neither its body nor anything it alone reaches is hot.
+func isColdFunc(pass *analysis.Pass, n *callgraph.Node) bool {
+	return n.Obj != nil && n.File != nil && analysis.LineCommentDirective(pass.Fset, n.File, n.Pos, "cold")
 }
 
 // coldCall reports calls whose arguments never execute in steady state: the

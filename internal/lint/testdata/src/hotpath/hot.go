@@ -13,6 +13,8 @@ import (
 var table = struct {
 	ring []int
 	byID map[int]int
+	want bool
+	out  string
 }{}
 
 // wire schedules the callbacks; wire itself stays cold (nothing schedules
@@ -48,6 +50,23 @@ func tick() {
 		// graph cannot know that, the waiver records it.
 		panic(fmt.Sprintf("ring overflow: %d", len(table.ring))) //tcnlint:hotpath cold panic path
 	}
+	if table.want {
+		render()
+	}
+}
+
+// render runs only when a consumer asks for it: the cold directive stops
+// the walk here, so neither its allocations nor layout's are flagged.
+//
+//tcnlint:cold runs only on a consumer's request
+func render() {
+	table.out = fmt.Sprintf("ring %d", len(table.ring))
+	layout()
+}
+
+// layout is reached only through render.
+func layout() {
+	table.ring = append(table.ring, len(table.out))
 }
 
 // box takes an interface, forcing its callers to box concrete arguments.

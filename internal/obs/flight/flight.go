@@ -103,7 +103,7 @@ type Recorder struct {
 }
 
 // ticker drives every probe sharing one (engine, period) pair from a
-// single self-rescheduling event, so instrumenting hundreds of ports adds
+// single sim.Engine.Every tick, so instrumenting hundreds of ports adds
 // one event per period, not one per probe.
 type ticker struct {
 	eng    *sim.Engine
@@ -151,9 +151,12 @@ func (r *Recorder) SeriesCap(name string, capacity int) *Series {
 
 // Probe registers fn to be polled every period on eng, recording into the
 // series registered under name. period <= 0 selects the recorder default.
-// The probe starts at the engine's current instant and samples forever;
-// since experiments run with RunUntil, the pending tick past the deadline
-// simply never fires.
+// The probe samples from the engine's current instant until the model runs
+// out of events (sim.Engine.Every): its last sample falls within one
+// period of the last model event, or of the engine's slowest other
+// ticker, so a drained run records the final state but no idle tail, and a
+// run stopped by its RunUntil deadline never fires the pending tick past
+// it. Probes sharing (eng, period) share one ticker.
 func (r *Recorder) Probe(eng *sim.Engine, name string, period sim.Time, fn func(now sim.Time) float64) *Series {
 	if period <= 0 {
 		period = r.cfg.Period
@@ -168,16 +171,13 @@ func (r *Recorder) Probe(eng *sim.Engine, name string, period sim.Time, fn func(
 	t := &ticker{eng: eng, period: period}
 	t.probes = append(t.probes, tickProbe{s: s, fn: fn})
 	r.tickers = append(r.tickers, t)
-	var tick func()
-	tick = func() {
+	eng.Every(period, func() {
 		now := eng.Now()
 		for _, p := range t.probes {
 			p.s.Record(now, p.fn(now))
 		}
 		r.publishIfRequested()
-		eng.After(period, tick)
-	}
-	eng.After(0, tick)
+	})
 	return s
 }
 
@@ -239,7 +239,10 @@ func (r *Recorder) publishIfRequested() {
 	}
 }
 
-// publish renders and stores a fresh Exposition.
+// publish renders and stores a fresh Exposition. It allocates freely: a
+// sampler tick calls it only when a consumer asked (publishIfRequested).
+//
+//tcnlint:cold runs only on a consumer's publish request, never per tick
 func (r *Recorder) publish() {
 	e := &Exposition{Gen: r.gen.Add(1)}
 	var buf bytes.Buffer

@@ -94,6 +94,9 @@ func TestProbeTicksOnSimClock(t *testing.T) {
 		v++
 		return v
 	})
+	// Probes sample only while the model has work left; one no-op model
+	// event past the deadline keeps this one sampling up to it.
+	eng.At(100*sim.Microsecond+1, func() {})
 	eng.RunUntil(100 * sim.Microsecond)
 	// Ticks at 0, 10us, ..., 100us inclusive.
 	if s.Len() != 11 {
@@ -102,6 +105,28 @@ func TestProbeTicksOnSimClock(t *testing.T) {
 	//tcnlint:floatexact the probe returns exact small integers
 	if last := s.Last(); last.At != 100*sim.Microsecond || last.V != 11 {
 		t.Fatalf("last = %+v", last)
+	}
+}
+
+func TestProbeStopsWhenModelDrains(t *testing.T) {
+	eng := sim.NewEngine()
+	r := New(Config{Period: 10 * sim.Microsecond})
+	fast := r.Probe(eng, "fast", 0, func(sim.Time) float64 { return 1 })
+	slow := r.Probe(eng, "slow", 30*sim.Microsecond, func(sim.Time) float64 { return 1 })
+	eng.At(45*sim.Microsecond, func() {}) // the model's last event
+	eng.RunUntil(sim.Second)
+	// Each samples once more after the model's last event at 45us: fast
+	// at 50us, slow at 60us, where its tick precedes fast's and stops
+	// both. Neither keeps the other alive, and the clock still reaches
+	// the deadline.
+	if fast.Offered() != 6 || fast.Last().At != 50*sim.Microsecond {
+		t.Fatalf("fast: %d samples, last %+v", fast.Offered(), fast.Last())
+	}
+	if slow.Offered() != 3 || slow.Last().At != 60*sim.Microsecond {
+		t.Fatalf("slow: %d samples, last %+v", slow.Offered(), slow.Last())
+	}
+	if eng.Len() != 0 || eng.Now() != sim.Second {
+		t.Fatalf("pending %d at %v, want drained at 1s", eng.Len(), eng.Now())
 	}
 }
 
@@ -120,6 +145,7 @@ func TestProbesShareTicker(t *testing.T) {
 	if len(r.tickers) != 1 {
 		t.Fatalf("tickers = %d, want 1 shared", len(r.tickers))
 	}
+	eng.At(sim.Millisecond+1, func() {}) // model work past the deadline
 	eng.RunUntil(sim.Millisecond)
 	want := []string{"x", "y", "x", "y"}
 	if len(order) != len(want) {
@@ -136,6 +162,7 @@ func TestExpositionPublishAndSeal(t *testing.T) {
 	eng := sim.NewEngine()
 	r := New(Config{Period: 10 * sim.Microsecond})
 	r.Probe(eng, "p", 0, func(now sim.Time) float64 { return now.Seconds() })
+	eng.At(100*sim.Microsecond+1, func() {}) // model work past both deadlines
 
 	if r.Latest() != nil {
 		t.Fatal("exposition published before any tick")

@@ -36,7 +36,6 @@ import (
 	"math"
 
 	"tcn/internal/digest"
-	"tcn/internal/invariant"
 )
 
 // Time is a point in virtual time, in nanoseconds since the start of the
@@ -163,6 +162,13 @@ type Engine struct {
 	// cost profiler uses to attribute elapsed sim-time. Costs one nil
 	// check per event when unset; see SetPostEvent and AddPostEvent.
 	postEvent PostEventHook
+
+	// tickers lists the running Every tickers. Each has exactly one tick
+	// pending, so a firing tick that sees Len() == len(tickers)-1 knows
+	// nothing but ticks is left to happen; tickersDone counts the tickers
+	// that have ticked since then.
+	tickers     []*ticker
+	tickersDone int
 }
 
 // NewEngine returns an engine with the clock at zero.
@@ -281,6 +287,67 @@ func (e *Engine) AfterArg(d Time, fn func(any), arg any) EventRef {
 	return e.AtArg(e.now+d, fn, arg)
 }
 
+// Every runs fn at the current instant and then every period, for as long
+// as the model has work left. Each tick is one ordinary event, scheduled
+// exactly as a callback that re-arms itself with After(period) would be,
+// so the ticks interleave with model events in the same (at, seq) order
+// and each fn call sees the engine exactly as under that idiom. Once only
+// ticks are pending, every ticker still ticks once more, so each observer
+// samples the state the model left behind; the tick that completes that
+// round stops all the engine's tickers and cancels their pending ticks.
+// Periodic observers (probes, digest epochs) therefore end within the
+// longest period after the last model event instead of keeping a run
+// alive until its deadline, and several tickers never keep each other
+// alive. Once stopped
+// a ticker stays stopped, even if the caller later schedules more model
+// events and runs again. A non-positive period panics.
+func (e *Engine) Every(period Time, fn func()) {
+	if period <= 0 {
+		panic(fmt.Sprintf("sim: non-positive tick period %v", period))
+	}
+	t := &ticker{e: e, period: period, fn: fn}
+	e.tickers = append(e.tickers, t)
+	t.next = e.AfterArg(0, fireTick, t)
+}
+
+// ticker is one Every registration.
+type ticker struct {
+	e      *Engine
+	period Time
+	fn     func()
+	next   EventRef // the pending tick
+	done   bool     // has ticked with nothing but ticks pending
+}
+
+// fireTick runs one Every tick; see Every.
+func fireTick(arg any) {
+	t := arg.(*ticker)
+	e := t.e
+	t.fn()
+	// The firing tick is no longer pending, so the others number
+	// len(tickers)-1.
+	if e.Len() != len(e.tickers)-1 {
+		// Model work is pending: every ticker must tick again after it.
+		if e.tickersDone > 0 {
+			for _, o := range e.tickers {
+				o.done = false
+			}
+			e.tickersDone = 0
+		}
+	} else if !t.done {
+		t.done = true
+		e.tickersDone++
+		if e.tickersDone == len(e.tickers) {
+			for _, o := range e.tickers {
+				e.Cancel(o.next) // t's own tick has fired: a no-op
+			}
+			e.tickers, e.tickersDone = nil, 0
+			return
+		}
+	}
+	t.next = e.AfterArg(t.period, fireTick, t)
+}
+
 // Cancel prevents a pending event from firing by removing it from the
 // store immediately (its node is recycled at once). Canceling an already-
 // fired, already-canceled, or zero reference is a no-op. This is O(1) —
@@ -347,9 +414,10 @@ func (e *Engine) Run() { e.RunUntil(MaxTime) }
 // EventRef (a timer canceling itself from its own handler) is already
 // stale by the time the handler executes.
 //
-// Every exit keeps the engine's conservation law: each scheduled event
-// has fired, been canceled, or is still pending. Builds with the
-// invariants tag assert it here.
+// Every exit checks the engine's conservation law: each scheduled event
+// has fired, been canceled, or is still pending. A violation panics with
+// the four counts; the check is one comparison per call, so it runs in
+// every build.
 func (e *Engine) RunUntil(deadline Time) uint64 {
 	e.stopped = false
 	n := e.runWheel(deadline)
@@ -361,9 +429,9 @@ func (e *Engine) RunUntil(deadline Time) uint64 {
 	}
 	// The arguments are built only on failure: boxing them would allocate
 	// on every call and break the engine's zero-alloc pins.
-	if invariant.Enabled && e.scheduled != e.Executed+e.canceled+uint64(e.Len()) {
-		invariant.Checkf(false, "sim: scheduled %d != executed %d + canceled %d + pending %d",
-			e.scheduled, e.Executed, e.canceled, e.Len())
+	if e.scheduled != e.Executed+e.canceled+uint64(e.Len()) {
+		panic(fmt.Sprintf("sim: scheduled %d != executed %d + canceled %d + pending %d",
+			e.scheduled, e.Executed, e.canceled, e.Len()))
 	}
 	return n
 }
