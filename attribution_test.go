@@ -123,11 +123,11 @@ func TestPacketPathZeroAllocWithFingerprintAttached(t *testing.T) {
 	if allocs != 0 { //tcnlint:floatexact AllocsPerRun must be exactly zero
 		t.Fatalf("steady-state packet path allocates %.1f/op with fingerprinting attached, want 0", allocs)
 	}
-	if len(rec.Records()) == 0 {
+	if rec.Len() == 0 {
 		t.Fatal("recorder captured no epoch records: the zero-alloc claim was not exercised")
 	}
-	last := rec.Records()[len(rec.Records())-1]
-	if last.Digest == 0 && rec.Records()[0].Digest == 0 {
+	recs := rec.Records()
+	if recs[len(recs)-1].Digest == 0 && recs[0].Digest == 0 {
 		t.Fatal("digest chain never folded any state")
 	}
 }

@@ -382,7 +382,7 @@ func BenchmarkPacketPathFingerprinted(b *testing.B) {
 	if el := b.Elapsed().Seconds(); el > 0 {
 		b.ReportMetric(float64(eng.Executed-start)/el, "events/sec")
 	}
-	b.ReportMetric(float64(len(rec.Records())), "digest-records")
+	b.ReportMetric(float64(rec.Len()), "digest-records")
 }
 
 // BenchmarkPacketPathProfiled is BenchmarkPacketPathSteadyState with the

@@ -28,49 +28,65 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"tcn/internal/digest"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the whole command: it parses args, writes the report to stdout
+// and errors to stderr, and returns the exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("tcndiff", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		jsonOut = flag.Bool("json", false, "emit the report as JSON instead of text")
-		seriesA = flag.String("series-a", "", "flight-recorder timeseries CSV of run A (from tcnsim -timeseries)")
-		seriesB = flag.String("series-b", "", "flight-recorder timeseries CSV of run B")
-		ledgerA = flag.String("ledger-a", "", "decision-ledger JSONL of run A (from tcnsim -ledger)")
-		ledgerB = flag.String("ledger-b", "", "decision-ledger JSONL of run B")
-		profA   = flag.String("profile-a", "", "folded cost profile of run A (from tcnsim -profile-folded)")
-		profB   = flag.String("profile-b", "", "folded cost profile of run B")
-		profTop = flag.Int("profile-top", 20, "cost-regression stacks printed by the text report (all differing stacks count toward the exit status)")
+		jsonOut = fs.Bool("json", false, "emit the report as JSON instead of text")
+		seriesA = fs.String("series-a", "", "flight-recorder timeseries CSV of run A (from tcnsim -timeseries)")
+		seriesB = fs.String("series-b", "", "flight-recorder timeseries CSV of run B")
+		ledgerA = fs.String("ledger-a", "", "decision-ledger JSONL of run A (from tcnsim -ledger)")
+		ledgerB = fs.String("ledger-b", "", "decision-ledger JSONL of run B")
+		profA   = fs.String("profile-a", "", "folded cost profile of run A (from tcnsim -profile-folded)")
+		profB   = fs.String("profile-b", "", "folded cost profile of run B")
+		profTop = fs.Int("profile-top", 20, "cost-regression stacks printed by the text report (all differing stacks count toward the exit status)")
 	)
-	flag.Usage = usage
-	flag.Parse()
+	fs.Usage = func() { usage(stderr) }
+	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return 0
+		}
+		return 2
+	}
 
 	if (*seriesA == "") != (*seriesB == "") || (*ledgerA == "") != (*ledgerB == "") || (*profA == "") != (*profB == "") {
-		fmt.Fprintln(os.Stderr, "tcndiff: -series-a/-series-b, -ledger-a/-ledger-b, and -profile-a/-profile-b must be given in pairs")
-		os.Exit(2)
+		fmt.Fprintln(stderr, "tcndiff: -series-a/-series-b, -ledger-a/-ledger-b, and -profile-a/-profile-b must be given in pairs")
+		return 2
 	}
-	haveFP := flag.NArg() == 2
-	if !haveFP && flag.NArg() != 0 {
-		usage()
-		os.Exit(2)
+	haveFP := fs.NArg() == 2
+	if !haveFP && fs.NArg() != 0 {
+		usage(stderr)
+		return 2
 	}
 	if !haveFP && *seriesA == "" && *ledgerA == "" && *profA == "" {
-		usage()
-		os.Exit(2)
+		usage(stderr)
+		return 2
+	}
+	fatal := func(err error) int {
+		fmt.Fprintf(stderr, "tcndiff: %v\n", err)
+		return 2
 	}
 
 	out := report{Identical: true}
 
 	if haveFP {
-		a, err := readTimeline(flag.Arg(0))
+		a, err := readTimeline(fs.Arg(0))
 		if err != nil {
-			fatal(err)
+			return fatal(err)
 		}
-		b, err := readTimeline(flag.Arg(1))
+		b, err := readTimeline(fs.Arg(1))
 		if err != nil {
-			fatal(err)
+			return fatal(err)
 		}
 		rep := digest.Compare(a, b)
 		out.RecordsA, out.RecordsB = rep.RecordsA, rep.RecordsB
@@ -83,7 +99,7 @@ func main() {
 	if *seriesA != "" {
 		deltas, err := diffSeries(*seriesA, *seriesB)
 		if err != nil {
-			fatal(err)
+			return fatal(err)
 		}
 		out.Series = deltas
 		for _, d := range deltas {
@@ -95,7 +111,7 @@ func main() {
 	if *ledgerA != "" {
 		deltas, err := diffLedgers(*ledgerA, *ledgerB)
 		if err != nil {
-			fatal(err)
+			return fatal(err)
 		}
 		out.Ledger = deltas
 		if len(deltas) > 0 {
@@ -105,7 +121,7 @@ func main() {
 	if *profA != "" {
 		stacks, deltas, err := diffProfiles(*profA, *profB)
 		if err != nil {
-			fatal(err)
+			return fatal(err)
 		}
 		out.haveProfile = true
 		out.ProfileStacks = stacks
@@ -117,20 +133,16 @@ func main() {
 	}
 
 	if *jsonOut {
-		if err := out.writeJSON(os.Stdout); err != nil {
-			fatal(err)
+		if err := out.writeJSON(stdout); err != nil {
+			return fatal(err)
 		}
 	} else {
-		out.writeText(os.Stdout, haveFP)
+		out.writeText(stdout, haveFP)
 	}
 	if !out.Identical {
-		os.Exit(1)
+		return 1
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintf(os.Stderr, "tcndiff: %v\n", err)
-	os.Exit(2)
+	return 0
 }
 
 func readTimeline(path string) (*digest.Timeline, error) {
@@ -146,8 +158,8 @@ func readTimeline(path string) (*digest.Timeline, error) {
 	return tl, nil
 }
 
-func usage() {
-	fmt.Fprintln(os.Stderr, `tcndiff — localize the first divergence between two simulator runs
+func usage(w io.Writer) {
+	fmt.Fprintln(w, `tcndiff — localize the first divergence between two simulator runs
 
   tcndiff [flags] a.jsonl b.jsonl
 

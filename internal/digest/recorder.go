@@ -21,9 +21,12 @@ type Config struct {
 	// EpochNs is the snapshot period in sim nanoseconds (default 1ms).
 	// Two comparable runs must use the same period so their epochs align.
 	EpochNs int64
-	// RecordCap preallocates the record store (default 1<<15 records).
-	// The store grows past it, but a capacity-guarded run stays
-	// allocation-free — size it to epochs × components for pinned paths.
+	// RecordCap preallocates the record store (default 1<<15 records):
+	// the digest column gets RecordCap slots up front, and the first
+	// snapshot sizes the header column for RecordCap records at its
+	// scope's width. The store grows past it, but a capacity-guarded run
+	// allocates nothing after its first snapshot — size it to epochs ×
+	// components for pinned paths.
 	RecordCap int
 	// Fine enables per-event digests bracketed around FineAtEpoch: every
 	// event executed in the windows leading into epochs FineAtEpoch and
@@ -78,12 +81,38 @@ type FineRecord struct {
 // components and the timeline stays O(cells × epochs × components), not
 // O(cells² × ...). The recorder is shared mutable state like the flight
 // recorder — attaching it forces a sweep serial (experiments.Obs.Active).
+//
+// The epoch records are stored as two pointer-free columns the GC never
+// scans: one 16-byte snap header per Snapshot call and one chained digest
+// per component, in snapshot order. A record costs the 8 bytes of its
+// digest plus its share of one header; the scope, label, component and
+// epoch a Record carries are rebuilt from the columns on demand.
 type Recorder struct {
 	cfg     Config
 	scopes  []*Scope
 	byOwner map[any]*Scope
-	records []Record
-	fine    []FineRecord
+	snaps   []snap
+	digests []uint64
+	fine    []fineRec
+}
+
+// snap is the column header of one Scope.Snapshot call: the sim time it
+// recorded and the scope's index in Recorder.scopes. The rest of a
+// record's identity follows from column order: a scope's n-th header is
+// its epoch n, and each header owns the next len(comps) digests, in the
+// scope's registration order.
+type snap struct {
+	at    int64
+	scope uint32
+}
+
+// fineRec is a FineRecord with its scope held as an index into
+// Recorder.scopes.
+type fineRec struct {
+	scope  uint32
+	event  uint64
+	at     int64
+	digest uint64
 }
 
 // New returns an empty recorder.
@@ -92,7 +121,7 @@ func New(cfg Config) *Recorder {
 	return &Recorder{
 		cfg:     cfg,
 		byOwner: map[any]*Scope{},
-		records: make([]Record, 0, cfg.RecordCap),
+		digests: make([]uint64, 0, cfg.RecordCap),
 	}
 }
 
@@ -118,6 +147,7 @@ func (r *Recorder) ScopeFor(owner any) *Scope {
 	}
 	s := &Scope{
 		rec:    r,
+		index:  uint32(len(r.scopes)),
 		label:  fmt.Sprintf("cell%d", len(r.scopes)),
 		fineOn: r.cfg.Fine && r.cfg.FineAtEpoch == 0,
 	}
@@ -129,16 +159,55 @@ func (r *Recorder) ScopeFor(owner any) *Scope {
 // ScopeOf returns the scope registered for owner, or nil.
 func (r *Recorder) ScopeOf(owner any) *Scope { return r.byOwner[owner] }
 
-// Records returns the epoch records in append order (not a copy).
-func (r *Recorder) Records() []Record { return r.records }
+// Len returns the number of epoch records.
+func (r *Recorder) Len() int { return len(r.digests) }
 
-// FineRecords returns the fine records in append order (not a copy).
-func (r *Recorder) FineRecords() []FineRecord { return r.fine }
+// eachRecord calls fn with every epoch record in snapshot order, stopping
+// at the first error.
+func (r *Recorder) eachRecord(fn func(Record) error) error {
+	epochs := make([]int64, len(r.scopes))
+	next := 0 // index of the current header's first digest
+	for _, h := range r.snaps {
+		s := r.scopes[h.scope]
+		for i := range s.comps {
+			c := &s.comps[i]
+			if err := fn(Record{
+				Scope: s.label, Epoch: epochs[h.scope], At: h.at,
+				Component: c.kind, Label: c.label, Digest: r.digests[next+i],
+			}); err != nil {
+				return err
+			}
+		}
+		next += len(s.comps)
+		epochs[h.scope]++
+	}
+	return nil
+}
+
+// Records builds the epoch records in snapshot order. It allocates a
+// fresh slice on every call; use Len to count them.
+func (r *Recorder) Records() []Record {
+	out := make([]Record, 0, len(r.digests))
+	_ = r.eachRecord(func(rec Record) error {
+		out = append(out, rec)
+		return nil
+	})
+	return out
+}
+
+// FineRecords builds the fine records in append order.
+func (r *Recorder) FineRecords() []FineRecord {
+	out := make([]FineRecord, len(r.fine))
+	for i, f := range r.fine {
+		out[i] = FineRecord{Scope: r.scopes[f.scope].label, Event: f.event, At: f.at, Digest: f.digest}
+	}
+	return out
+}
 
 // Timeline packages the recorder's current state for the diff engine,
-// sharing the underlying record slices.
+// building its records from the columns.
 func (r *Recorder) Timeline() *Timeline {
-	return &Timeline{Seed: r.cfg.Seed, EpochNs: r.cfg.EpochNs, Records: r.records, Fine: r.fine}
+	return &Timeline{Seed: r.cfg.Seed, EpochNs: r.cfg.EpochNs, Records: r.Records(), Fine: r.FineRecords()}
 }
 
 // registration pairs a component with its identity.
@@ -153,6 +222,7 @@ type registration struct {
 // methods run on the goroutine that owns the cell's engine.
 type Scope struct {
 	rec    *Recorder
+	index  uint32 // position in rec.scopes
 	label  string
 	comps  []registration
 	chain  []uint64
@@ -191,23 +261,28 @@ func (s *Scope) Register(kind Component, label string, d Digestable) {
 // Snapshot records one epoch: every component's state is hashed, chained
 // onto its previous digest, and appended to the recorder. at is the sim
 // time in nanoseconds. Allocation-free while the record store stays
-// within its preallocated capacity.
+// within its preallocated capacity; the recorder's first snapshot sizes
+// the header column (see Config.RecordCap).
 func (s *Scope) Snapshot(at int64) {
+	r := s.rec
+	if r.snaps == nil {
+		//tcnlint:hotpath runs once per recorder, on its first snapshot
+		r.snaps = make([]snap, 0, r.cfg.RecordCap/max(len(s.comps), 1)+1)
+	}
+	//tcnlint:hotpath header column is preallocated to RecordCap records; append grows only past the configured horizon
+	r.snaps = append(r.snaps, snap{at: at, scope: s.index})
 	for i := range s.comps {
-		s.h = NewHash(s.rec.cfg.Seed)
+		s.h = NewHash(r.cfg.Seed)
 		s.h.WriteUint64(s.chain[i])
 		s.comps[i].d.DigestState(&s.h)
 		d := s.h.Sum64()
 		s.chain[i] = d
-		//tcnlint:hotpath record store is preallocated to RecordCap; append grows only past the configured horizon
-		s.rec.records = append(s.rec.records, Record{
-			Scope: s.label, Epoch: s.epoch, At: at,
-			Component: s.comps[i].kind, Label: s.comps[i].label, Digest: d,
-		})
+		//tcnlint:hotpath digest column is preallocated to RecordCap; append grows only past the configured horizon
+		r.digests = append(r.digests, d)
 	}
 	s.epoch++
-	s.fineOn = s.rec.cfg.Fine &&
-		s.epoch >= s.rec.cfg.FineAtEpoch && s.epoch <= s.rec.cfg.FineAtEpoch+1
+	s.fineOn = r.cfg.Fine &&
+		s.epoch >= r.cfg.FineAtEpoch && s.epoch <= r.cfg.FineAtEpoch+1
 }
 
 // FineSnapshot records one per-event digest when the fine bracket is
@@ -226,5 +301,5 @@ func (s *Scope) FineSnapshot(event uint64, at int64) {
 	d := s.h.Sum64()
 	s.fineChain = d
 	//tcnlint:hotpath fine records only accrue inside the two-epoch bracket the drill-in rerun requests
-	s.rec.fine = append(s.rec.fine, FineRecord{Scope: s.label, Event: event, At: at, Digest: d})
+	s.rec.fine = append(s.rec.fine, fineRec{scope: s.index, event: event, at: at, digest: d})
 }

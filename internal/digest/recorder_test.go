@@ -3,7 +3,10 @@ package digest
 import (
 	"bytes"
 	"encoding/json"
+	"os"
+	"runtime"
 	"testing"
+	"unsafe"
 )
 
 // counter is a minimal Digestable test double.
@@ -246,6 +249,84 @@ func FuzzReadTimeline(f *testing.F) {
 	})
 }
 
+// TestColumnsMatchOldLayout replays a fixture written by the recorder's
+// earlier one-struct-per-record store: two scopes of different widths
+// snapshot alternately, with fine records from both. The column store
+// must rebuild the same records and stream the same bytes.
+func TestColumnsMatchOldLayout(t *testing.T) {
+	want, err := os.ReadFile("testdata/alternating.jsonl")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := New(Config{Seed: 3, EpochNs: 250, Fine: true, FineAtEpoch: 1})
+	a := rec.ScopeFor("engA")
+	b := rec.ScopeFor("engB")
+	ca := []*counter{{}, {}, {}}
+	cb := []*counter{{}, {}}
+	a.Register(ComponentEngine, "engine", ca[0])
+	a.Register(ComponentPort, "switch.p0", ca[1])
+	a.Register(ComponentTDigest, "fct", ca[2])
+	b.Register(ComponentEngine, "engine", cb[0])
+	b.Register(ComponentQdisc, "eth0", cb[1])
+	ev := uint64(0)
+	for epoch := int64(0); epoch < 4; epoch++ {
+		for i, c := range ca {
+			c.n += int64(i+1) * (epoch + 1)
+		}
+		ev++
+		a.FineSnapshot(ev, epoch*250+10)
+		a.Snapshot(epoch * 250)
+		for i, c := range cb {
+			c.n += int64(i+7) * epoch
+		}
+		ev++
+		b.FineSnapshot(ev, epoch*250+20)
+		b.Snapshot(epoch*250 + 1)
+	}
+
+	var got bytes.Buffer
+	if err := rec.WriteJSONL(&got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Fatalf("WriteJSONL differs from the old-layout fixture:\n%s\nwant:\n%s", got.Bytes(), want)
+	}
+	tl, err := ReadTimeline(bytes.NewReader(want))
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := rec.Records()
+	if rec.Len() != 20 || len(recs) != len(tl.Records) {
+		t.Fatalf("Len %d, Records %d; the fixture holds %d", rec.Len(), len(recs), len(tl.Records))
+	}
+	for i := range recs {
+		if recs[i] != tl.Records[i] {
+			t.Fatalf("record %d: %+v, fixture %+v", i, recs[i], tl.Records[i])
+		}
+	}
+	// The reader interns scope and label strings: equal strings share
+	// their bytes.
+	first := map[string]*byte{}
+	for _, r := range tl.Records {
+		for _, s := range []string{r.Scope, r.Label} {
+			if p, ok := first[s]; !ok {
+				first[s] = unsafe.StringData(s)
+			} else if p != unsafe.StringData(s) {
+				t.Fatalf("ReadTimeline stored %q twice", s)
+			}
+		}
+	}
+	fine := rec.FineRecords()
+	if len(fine) != len(tl.Fine) {
+		t.Fatalf("%d fine records, fixture %d", len(fine), len(tl.Fine))
+	}
+	for i := range fine {
+		if fine[i] != tl.Fine[i] {
+			t.Fatalf("fine record %d: %+v, fixture %+v", i, fine[i], tl.Fine[i])
+		}
+	}
+}
+
 func TestSnapshotZeroAlloc(t *testing.T) {
 	rec := New(Config{RecordCap: 1 << 15})
 	sc := rec.ScopeFor("eng")
@@ -265,12 +346,47 @@ func TestSnapshotZeroAlloc(t *testing.T) {
 	if allocs != 0 { //tcnlint:floatexact AllocsPerRun of a zero-alloc run is exactly 0
 		t.Fatalf("Snapshot allocates in steady state: %v allocs/op", allocs)
 	}
+	// The first snapshot sized the header column for the whole RecordCap
+	// at this scope's width, so neither column grows before it is spent.
+	if c := cap(rec.snaps); c < (1<<15)/len(comps) {
+		t.Fatalf("header column preallocated for %d snapshots, want >= %d", c, (1<<15)/len(comps))
+	}
+}
+
+// TestRecordByteBudget pins the store's cost per record: a 13-component
+// scope (a Fig 6 testbed cell's width) over 10,000 epochs, with RecordCap
+// sized to the run, allocates at most 10 bytes per record in total — the
+// 8-byte digest plus a share of one 16-byte header per snapshot. A record
+// stored as a struct with string headers costs 64.
+func TestRecordByteBudget(t *testing.T) {
+	const comps, epochs = 13, 10_000
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	rec := New(Config{RecordCap: comps * epochs})
+	sc := rec.ScopeFor("eng")
+	c := &counter{}
+	for i := 0; i < comps; i++ {
+		sc.Register(ComponentPort, "port", c)
+	}
+	for e := int64(0); e < epochs; e++ {
+		c.n++
+		sc.Snapshot(e * 1000)
+	}
+	runtime.ReadMemStats(&after)
+	if rec.Len() != comps*epochs {
+		t.Fatalf("recorded %d records, want %d", rec.Len(), comps*epochs)
+	}
+	perRecord := float64(after.TotalAlloc-before.TotalAlloc) / float64(comps*epochs)
+	t.Logf("%.2f B/record", perRecord)
+	if perRecord > 10 {
+		t.Fatalf("record store allocates %.2f B/record, budget 10", perRecord)
+	}
 }
 
 func TestFineSnapshotZeroAlloc(t *testing.T) {
 	rec := New(Config{Fine: true, FineAtEpoch: 0})
 	// Preallocate the fine store so append doesn't grow mid-measurement.
-	rec.fine = make([]FineRecord, 0, 1<<12)
+	rec.fine = make([]fineRec, 0, 1<<12)
 	sc := rec.ScopeFor("eng")
 	c := &counter{}
 	sc.Register(ComponentEngine, "engine", c)

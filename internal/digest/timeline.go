@@ -55,19 +55,20 @@ func (r *Recorder) WriteJSONL(w io.Writer) error {
 	if err := enc.Encode(hdr); err != nil {
 		return err
 	}
-	for _, rec := range r.records {
-		if err := enc.Encode(lineJSON{
+	err := r.eachRecord(func(rec Record) error {
+		return enc.Encode(lineJSON{
 			Scope: rec.Scope, Epoch: rec.Epoch, At: rec.At,
 			Component: rec.Component.String(), Label: rec.Label,
 			Digest: hex64(rec.Digest),
-		}); err != nil {
-			return err
-		}
+		})
+	})
+	if err != nil {
+		return err
 	}
 	for _, f := range r.fine {
 		if err := enc.Encode(lineJSON{
-			Fine: true, Scope: f.Scope, Event: f.Event, At: f.At,
-			Digest: hex64(f.Digest),
+			Fine: true, Scope: r.scopes[f.scope].label, Event: f.event, At: f.at,
+			Digest: hex64(f.digest),
 		}); err != nil {
 			return err
 		}
@@ -76,10 +77,20 @@ func (r *Recorder) WriteJSONL(w io.Writer) error {
 }
 
 // ReadTimeline parses a fingerprint JSONL stream written by WriteJSONL.
+// Scope and label strings are interned: a timeline holds each distinct
+// one once, however many records name it.
 func ReadTimeline(r io.Reader) (*Timeline, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
 	tl := &Timeline{}
+	strs := map[string]string{}
+	intern := func(s string) string {
+		if v, ok := strs[s]; ok {
+			return v
+		}
+		strs[s] = s
+		return s
+	}
 	line := 0
 	header := false
 	for sc.Scan() {
@@ -109,7 +120,7 @@ func ReadTimeline(r io.Reader) (*Timeline, error) {
 			if err != nil {
 				return nil, fmt.Errorf("digest: line %d: bad digest %q", line, l.Digest)
 			}
-			tl.Fine = append(tl.Fine, FineRecord{Scope: l.Scope, Event: l.Event, At: l.At, Digest: d})
+			tl.Fine = append(tl.Fine, FineRecord{Scope: intern(l.Scope), Event: l.Event, At: l.At, Digest: d})
 		default:
 			c, ok := ParseComponent(l.Component)
 			if !ok {
@@ -120,8 +131,8 @@ func ReadTimeline(r io.Reader) (*Timeline, error) {
 				return nil, fmt.Errorf("digest: line %d: bad digest %q", line, l.Digest)
 			}
 			tl.Records = append(tl.Records, Record{
-				Scope: l.Scope, Epoch: l.Epoch, At: l.At,
-				Component: c, Label: l.Label, Digest: d,
+				Scope: intern(l.Scope), Epoch: l.Epoch, At: l.At,
+				Component: c, Label: intern(l.Label), Digest: d,
 			})
 		}
 	}

@@ -68,7 +68,7 @@ func TestGoldenFingerprints(t *testing.T) {
 			}
 			rec := digest.New(digest.Config{})
 			tc.run(&Obs{Fingerprint: rec})
-			if len(rec.Records()) == 0 {
+			if rec.Len() == 0 {
 				t.Fatal("fingerprint recorder captured no records")
 			}
 			h := sha256.New()

@@ -157,7 +157,8 @@ func TestObserversNeverExtendARun(t *testing.T) {
 			}
 
 			var epochs int64
-			for _, r := range fp.Records() {
+			recs := fp.Records()
+			for _, r := range recs {
 				if r.Component == digest.ComponentEngine {
 					epochs++
 				}
@@ -182,7 +183,7 @@ func TestObserversNeverExtendARun(t *testing.T) {
 				lastTx = max(lastTx, sp.LastDeq)
 			}
 			epoch := sim.Time(fp.EpochNs())
-			lastEpoch := sim.Time(fp.Records()[len(fp.Records())-1].At)
+			lastEpoch := sim.Time(recs[len(recs)-1].At)
 			lastProbe := series[0].Last().At
 			for _, last := range []sim.Time{lastEpoch, lastProbe} {
 				if last < lastTx || last > lastTx+2*epoch {

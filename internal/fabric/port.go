@@ -105,15 +105,14 @@ type Port struct {
 	// hot path pays only a nil check.
 	stats *obs.PortObs
 
-	// prof/scope, when attached via SetProfiler, bracket the enqueue and
-	// transmit stages with the cost profiler's port scope; hotSch and
-	// hotMarker are then instrumented wrappers of sch/marker. Nil prof =
-	// off, one nil check per stage. Digest and accessor paths always use
-	// the unwrapped sch/marker so profiling cannot change fingerprints.
+	// prof and the three scopes, when attached via SetProfiler, bracket
+	// the enqueue and transmit stages with the cost profiler's port scope
+	// and each scheduler and marker call with that component's scope.
+	// Nil prof = off, one nil check per bracket.
 	prof      *prof.Profiler
 	scope     *prof.Scope
-	hotSch    sched.Scheduler
-	hotMarker core.Marker
+	schScope  *prof.Scope
+	markScope *prof.Scope
 }
 
 // NewPort builds a port from cfg, delivering transmitted packets to peer.
@@ -148,8 +147,6 @@ func NewPort(eng *sim.Engine, cfg PortConfig, peer Receiver) *Port {
 		TxPackets: make([]int64, cfg.Queues),
 		TxBytes:   make([]int64, cfg.Queues),
 	}
-	p.hotSch = s
-	p.hotMarker = m
 	s.Bind(p.buf)
 	p.deliverFn = func(v any) { p.peer.Receive(v.(*pkt.Packet)) }
 	p.txFn = p.transmitNext
@@ -160,15 +157,13 @@ func NewPort(eng *sim.Engine, cfg PortConfig, peer Receiver) *Port {
 // scopes: the port itself under "port:<label>" (the same label the
 // ledger and digest layers use for this port), its scheduler under
 // "sched:<name>", and its marker under "marker:<name>". Call at attach
-// time, before traffic flows; passing the profiler only swaps hot-path
-// references, so fingerprints are unchanged.
+// time, before traffic flows; the scopes only observe, so fingerprints
+// are unchanged.
 func (pt *Port) SetProfiler(p *prof.Profiler, label string) {
 	pt.prof = p
 	pt.scope = p.NewScope("port:" + label)
-	schScope := p.NewScope("sched:" + pt.sch.Name())
-	pt.hotSch = sched.Instrument(pt.sch, schScope.Enter, p.Exit)
-	markScope := p.NewScope("marker:" + pt.marker.Name())
-	pt.hotMarker = core.InstrumentMarker(pt.marker, markScope.Enter, p.Exit)
+	pt.schScope = p.NewScope("sched:" + pt.sch.Name())
+	pt.markScope = p.NewScope("marker:" + pt.marker.Name())
 }
 
 // Send admits p to the port. It classifies, applies admission control
@@ -202,9 +197,21 @@ func (pt *Port) Send(p *pkt.Packet) {
 		pt.stats.Enqueue(qi, p.Size, pt.buf.Bytes(qi))
 	}
 	p.EnqueuedAt = now
-	pt.hotSch.OnEnqueue(now, qi, p)
+	if pt.prof != nil {
+		pt.schScope.Enter()
+	}
+	pt.sch.OnEnqueue(now, qi, p)
+	if pt.prof != nil {
+		pt.prof.Exit()
+	}
 	pt.verdict.Reset(core.StageEnqueue, pt.buf.Bytes(qi), pt.buf.Used())
-	pt.hotMarker.OnEnqueue(now, qi, p, pt, &pt.verdict)
+	if pt.prof != nil {
+		pt.markScope.Enter()
+	}
+	pt.marker.OnEnqueue(now, qi, p, pt, &pt.verdict)
+	if pt.prof != nil {
+		pt.prof.Exit()
+	}
 	if pt.OnVerdict != nil && pt.verdict.Decisive() {
 		pt.OnVerdict(now, qi, p, &pt.verdict)
 	}
@@ -226,7 +233,13 @@ func (pt *Port) transmitNext() {
 		pt.scope.Enter()
 	}
 	now := pt.eng.Now()
-	qi := pt.hotSch.Next(now)
+	if pt.prof != nil {
+		pt.schScope.Enter()
+	}
+	qi := pt.sch.Next(now)
+	if pt.prof != nil {
+		pt.prof.Exit()
+	}
 	if qi < 0 {
 		pt.busy = false
 		if pt.prof != nil {
@@ -243,9 +256,21 @@ func (pt *Port) transmitNext() {
 			"fabric: negative sojourn %v (enqueued at %v, dequeued at %v)",
 			p.Sojourn(now), p.EnqueuedAt, now)
 	}
-	pt.hotSch.OnDequeue(now, qi, p)
+	if pt.prof != nil {
+		pt.schScope.Enter()
+	}
+	pt.sch.OnDequeue(now, qi, p)
+	if pt.prof != nil {
+		pt.prof.Exit()
+	}
 	pt.verdict.Reset(core.StageDequeue, pt.buf.Bytes(qi), pt.buf.Used())
-	pt.hotMarker.OnDequeue(now, qi, p, pt, &pt.verdict)
+	if pt.prof != nil {
+		pt.markScope.Enter()
+	}
+	pt.marker.OnDequeue(now, qi, p, pt, &pt.verdict)
+	if pt.prof != nil {
+		pt.prof.Exit()
+	}
 	if pt.OnVerdict != nil && pt.verdict.Decisive() {
 		pt.OnVerdict(now, qi, p, &pt.verdict)
 	}

@@ -112,9 +112,13 @@ type ticker struct {
 }
 
 // tickProbe pairs a probe function with its destination series.
+// everyTick marks a probe that must run on every tick even when its
+// series discards the sample — a rate probe, whose value is the counter
+// delta since its previous call.
 type tickProbe struct {
-	s  *Series
-	fn func(now sim.Time) float64
+	s         *Series
+	fn        func(now sim.Time) float64
+	everyTick bool
 }
 
 // New returns an empty recorder.
@@ -157,28 +161,42 @@ func (r *Recorder) SeriesCap(name string, capacity int) *Series {
 // ticker, so a drained run records the final state but no idle tail, and a
 // run stopped by its RunUntil deadline never fires the pending tick past
 // it. Probes sharing (eng, period) share one ticker.
+//
+// fn must only read state: it runs only for the samples the series keeps,
+// so once the series has wrapped to stride k it runs on every k-th tick.
+// Every tick still counts in the series' Offered.
 func (r *Recorder) Probe(eng *sim.Engine, name string, period sim.Time, fn func(now sim.Time) float64) *Series {
+	return r.probe(eng, period, tickProbe{s: r.Series(name), fn: fn})
+}
+
+// probe registers p on the ticker of (eng, period); see Probe.
+func (r *Recorder) probe(eng *sim.Engine, period sim.Time, p tickProbe) *Series {
 	if period <= 0 {
 		period = r.cfg.Period
 	}
-	s := r.Series(name)
 	for _, t := range r.tickers {
 		if t.eng == eng && t.period == period {
-			t.probes = append(t.probes, tickProbe{s: s, fn: fn})
-			return s
+			t.probes = append(t.probes, p)
+			return p.s
 		}
 	}
 	t := &ticker{eng: eng, period: period}
-	t.probes = append(t.probes, tickProbe{s: s, fn: fn})
+	t.probes = append(t.probes, p)
 	r.tickers = append(r.tickers, t)
 	eng.Every(period, func() {
 		now := eng.Now()
 		for _, p := range t.probes {
-			p.s.Record(now, p.fn(now))
+			if p.s.thin() {
+				if p.everyTick {
+					p.fn(now)
+				}
+				continue
+			}
+			p.s.keep(now, p.fn(now))
 		}
 		r.publishIfRequested()
 	})
-	return s
+	return p.s
 }
 
 // Spans returns the recorder's flow-span tracker, creating it on first

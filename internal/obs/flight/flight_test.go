@@ -130,6 +130,61 @@ func TestProbeStopsWhenModelDrains(t *testing.T) {
 	}
 }
 
+// TestProbeRunsOnlyForKeptSamples drives a pure probe and a rate probe
+// on one ticker long enough for their 8-point series to wrap several
+// times. The pure probe must run only for the samples its series keeps,
+// the rate probe on every tick, and both series must match a series fed
+// every tick's value.
+func TestProbeRunsOnlyForKeptSamples(t *testing.T) {
+	eng := sim.NewEngine()
+	r := New(Config{Period: 10 * sim.Microsecond, SeriesCap: 8})
+	pureCalls, counter := 0, int64(0)
+	pure := r.Probe(eng, "pure", 0, func(now sim.Time) float64 {
+		pureCalls++
+		return float64(now)
+	})
+	rateProbe(r, eng, "rate", 1, func() int64 { return counter })
+	// The model bumps the counter by a different amount every period.
+	for i := int64(1); i <= 100; i++ {
+		eng.At(sim.Time(i)*10*sim.Microsecond-1, func() { counter += i * i })
+	}
+	wantPure, wantRate := newSeries("pure", 8), newSeries("rate", 8)
+	var last int64
+	keeps := 0
+	eng.Every(10*sim.Microsecond, func() {
+		now := eng.Now()
+		if wantPure.skip == 0 {
+			keeps++
+		}
+		wantPure.Record(now, float64(now))
+		wantRate.Record(now, float64(counter-last)*(1/(10*sim.Microsecond).Seconds())*1)
+		last = counter
+	})
+	eng.RunUntil(sim.Second)
+
+	rate := r.byName["rate"]
+	if pure.Offered() != wantPure.Offered() || rate.Offered() != wantRate.Offered() {
+		t.Fatalf("offered pure %d rate %d, want %d", pure.Offered(), rate.Offered(), wantPure.Offered())
+	}
+	if pure.Stride() < 8 {
+		t.Fatalf("stride %d: the series did not wrap enough to thin", pure.Stride())
+	}
+	if pureCalls != keeps {
+		t.Fatalf("pure probe ran %d times for %d offered samples, %d kept", pureCalls, pure.Offered(), keeps)
+	}
+	for _, c := range []struct{ got, want *Series }{{pure, wantPure}, {rate, wantRate}} {
+		got, want := c.got.Points(), c.want.Points()
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d points, want %d", c.got.Name(), len(got), len(want))
+		}
+		for i := range got {
+			if got[i] != want[i] { //tcnlint:floatexact both sides compute the same expression
+				t.Fatalf("%s point %d: %+v, want %+v", c.got.Name(), i, got[i], want[i])
+			}
+		}
+	}
+}
+
 func TestProbesShareTicker(t *testing.T) {
 	eng := sim.NewEngine()
 	r := New(Config{})

@@ -49,17 +49,15 @@ func AttachPortProbes(rec *Recorder, prefix string, pt *fabric.Port) {
 	}
 	rec.Probe(eng, prefix+".buffer_bytes", 0,
 		func(sim.Time) float64 { return float64(pt.PortBytes()) })
-	rec.Probe(eng, prefix+".throughput_gbps", 0,
-		rateProbe(rec.cfg.Period, 8e-9, func() int64 {
-			var total int64
-			for _, b := range pt.TxBytes {
-				total += b
-			}
-			return total
-		}))
+	rateProbe(rec, eng, prefix+".throughput_gbps", 8e-9, func() int64 {
+		var total int64
+		for _, b := range pt.TxBytes {
+			total += b
+		}
+		return total
+	})
 	if mc, ok := pt.Marker().(core.MarkCounter); ok {
-		rec.Probe(eng, prefix+".mark_rate_pps", 0,
-			rateProbe(rec.cfg.Period, 1, mc.MarkCount))
+		rateProbe(rec, eng, prefix+".mark_rate_pps", 1, mc.MarkCount)
 	}
 }
 
@@ -80,18 +78,20 @@ func AttachQdiscProbes(rec *Recorder, prefix string, q *qdisc.Qdisc) {
 		func(now sim.Time) float64 { return q.Bucket().Level(now) })
 }
 
-// rateProbe turns a monotonic counter into a per-second rate: each sample
-// is the counter delta over the polling period, scaled by unit (8e-9
-// turns bytes/s into Gbit/s; 1 leaves events/s).
-func rateProbe(period sim.Time, unit float64, counter func() int64) func(sim.Time) float64 {
+// rateProbe registers a probe, polled at the recorder's default period,
+// that turns a monotonic counter into a per-second rate: each sample is
+// the counter delta over the last period, scaled by unit (8e-9 turns
+// bytes/s into Gbit/s; 1 leaves events/s). It reads the counter on every
+// tick, kept or not, so a kept sample never spans several periods.
+func rateProbe(rec *Recorder, eng *sim.Engine, name string, unit float64, counter func() int64) {
 	var last int64
-	perSec := 1 / period.Seconds()
-	return func(sim.Time) float64 {
+	perSec := 1 / rec.cfg.Period.Seconds()
+	rec.probe(eng, 0, tickProbe{s: rec.Series(name), everyTick: true, fn: func(sim.Time) float64 {
 		cur := counter()
 		d := cur - last
 		last = cur
 		return float64(d) * perSec * unit
-	}
+	}})
 }
 
 // AttachPortSpans wires the recorder's flow-span tracker into a fabric

@@ -44,11 +44,27 @@ func (s *Series) Name() string { return s.name }
 // Record offers one sample. Depending on the current stride it is either
 // retained or deterministically discarded.
 func (s *Series) Record(at sim.Time, v float64) {
-	s.offered++
-	if s.skip > 0 {
-		s.skip--
-		return
+	if !s.thin() {
+		s.keep(at, v)
 	}
+}
+
+// thin offers one sample ahead of its value: when the stride discards
+// it, thin counts it and reports true; otherwise it reports false and the
+// caller must keep the sample. Probes use it to skip computing values the
+// series would throw away.
+func (s *Series) thin() bool {
+	if s.skip == 0 {
+		return false
+	}
+	s.skip--
+	s.offered++
+	return true
+}
+
+// keep retains one sample the stride accepted.
+func (s *Series) keep(at sim.Time, v float64) {
+	s.offered++
 	if len(s.pts) == cap(s.pts) {
 		s.compact()
 	}

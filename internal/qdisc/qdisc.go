@@ -166,16 +166,15 @@ type Qdisc struct {
 	// and histograms; nil = off.
 	stats *obs.PortObs
 
-	// prof and the two stage scopes, when attached via SetProfiler,
-	// bracket the enqueue and shaper/dequeue stages with cost-profiler
-	// scopes; hotSch and hotMarker are then instrumented wrappers of
-	// sch/marker. Nil prof = off, one nil check per stage; digests always
-	// use the unwrapped sch/marker.
+	// prof and the four scopes, when attached via SetProfiler, bracket
+	// the enqueue and shaper/dequeue stages with cost-profiler scopes and
+	// each scheduler and marker call with that component's scope. Nil
+	// prof = off, one nil check per bracket.
 	prof      *prof.Profiler
 	enqScope  *prof.Scope
 	deqScope  *prof.Scope
-	hotSch    sched.Scheduler
-	hotMarker core.Marker
+	schScope  *prof.Scope
+	markScope *prof.Scope
 
 	// Drops counts buffer rejections; Sent counts transmissions. Both
 	// are int64 so multi-hour runs cannot overflow on 32-bit platforms.
@@ -224,8 +223,6 @@ func New(eng *sim.Engine, cfg Config) *Qdisc {
 		rate:     cfg.LineRate,
 		transmit: cfg.Transmit,
 	}
-	q.hotSch = s
-	q.hotMarker = m
 	s.Bind(q.buf)
 	return q
 }
@@ -233,16 +230,14 @@ func New(eng *sim.Engine, cfg Config) *Qdisc {
 // SetProfiler brackets the qdisc's pipeline stages with cost-profiler
 // scopes: the enqueue stage under "qdisc:<label>:enq", the shaper/dequeue
 // stage under "qdisc:<label>:deq", the scheduler under "sched:<name>",
-// and the marker under "marker:<name>". Attach before traffic flows;
-// only hot-path references are swapped, so fingerprints are unchanged.
+// and the marker under "marker:<name>". Attach before traffic flows; the
+// scopes only observe, so fingerprints are unchanged.
 func (q *Qdisc) SetProfiler(p *prof.Profiler, label string) {
 	q.prof = p
 	q.enqScope = p.NewScope("qdisc:" + label + ":enq")
 	q.deqScope = p.NewScope("qdisc:" + label + ":deq")
-	schScope := p.NewScope("sched:" + q.sch.Name())
-	q.hotSch = sched.Instrument(q.sch, schScope.Enter, p.Exit)
-	markScope := p.NewScope("marker:" + q.marker.Name())
-	q.hotMarker = core.InstrumentMarker(q.marker, markScope.Enter, p.Exit)
+	q.schScope = p.NewScope("sched:" + q.sch.Name())
+	q.markScope = p.NewScope("marker:" + q.marker.Name())
 }
 
 // Enqueue admits a packet from the IP layer: classify, buffer, enqueue
@@ -277,7 +272,13 @@ func (q *Qdisc) Enqueue(p *pkt.Packet) bool {
 		q.stats.Enqueue(qi, p.Size, q.buf.Bytes(qi))
 	}
 	p.EnqueuedAt = now
-	q.hotSch.OnEnqueue(now, qi, p)
+	if q.prof != nil {
+		q.schScope.Enter()
+	}
+	q.sch.OnEnqueue(now, qi, p)
+	if q.prof != nil {
+		q.prof.Exit()
+	}
 	q.verdict.Reset(core.StageEnqueue, q.buf.Bytes(qi), q.buf.Used())
 	if q.OnVerdict != nil {
 		// Level is a pure projection (no refill), so it is safe to skip
@@ -285,7 +286,13 @@ func (q *Qdisc) Enqueue(p *pkt.Packet) bool {
 		// ledger reads TokensBytes.
 		q.verdict.TokensBytes = q.bucket.Level(now)
 	}
-	q.hotMarker.OnEnqueue(now, qi, p, q, &q.verdict)
+	if q.prof != nil {
+		q.markScope.Enter()
+	}
+	q.marker.OnEnqueue(now, qi, p, q, &q.verdict)
+	if q.prof != nil {
+		q.prof.Exit()
+	}
 	if q.OnVerdict != nil && q.verdict.Decisive() {
 		q.OnVerdict(now, qi, p, &q.verdict)
 	}
@@ -304,7 +311,13 @@ func (q *Qdisc) dequeue() {
 		q.deqScope.Enter()
 	}
 	now := q.eng.Now()
-	qi := q.hotSch.Next(now)
+	if q.prof != nil {
+		q.schScope.Enter()
+	}
+	qi := q.sch.Next(now)
+	if q.prof != nil {
+		q.prof.Exit()
+	}
 	if qi < 0 {
 		q.busy = false
 		if q.prof != nil {
@@ -332,12 +345,24 @@ func (q *Qdisc) dequeue() {
 			"qdisc: negative sojourn %v (enqueued at %v, dequeued at %v)",
 			p.Sojourn(now), p.EnqueuedAt, now)
 	}
-	q.hotSch.OnDequeue(now, qi, p)
+	if q.prof != nil {
+		q.schScope.Enter()
+	}
+	q.sch.OnDequeue(now, qi, p)
+	if q.prof != nil {
+		q.prof.Exit()
+	}
 	q.verdict.Reset(core.StageDequeue, q.buf.Bytes(qi), q.buf.Used())
 	if q.OnVerdict != nil {
 		q.verdict.TokensBytes = q.bucket.Level(now)
 	}
-	q.hotMarker.OnDequeue(now, qi, p, q, &q.verdict)
+	if q.prof != nil {
+		q.markScope.Enter()
+	}
+	q.marker.OnDequeue(now, qi, p, q, &q.verdict)
+	if q.prof != nil {
+		q.prof.Exit()
+	}
 	if q.OnVerdict != nil && q.verdict.Decisive() {
 		q.OnVerdict(now, qi, p, &q.verdict)
 	}

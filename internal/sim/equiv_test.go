@@ -92,7 +92,7 @@ func (t *engineTarget) runUntil(deadline Time) { t.e.RunUntil(deadline) }
 func (t *engineTarget) stop()                  { t.e.Stop() }
 func (t *engineTarget) state() equivState {
 	e := t.e
-	return equivState{e.Now(), e.Scheduled(), e.Executed, e.Canceled(), e.Len(), e.PendingHighWater(), e.pendSum}
+	return equivState{e.Now(), e.Scheduled(), e.Executed, e.Canceled(), e.Len(), e.PendingHighWater(), e.pendingSum()}
 }
 
 // refModel is the reference: a pending slice searched by a linear min scan
@@ -364,4 +364,40 @@ func FuzzWheelHeapEquivalence(f *testing.F) {
 		}
 		compareRuns(t, "fuzz", run(newEngineTarget), run(newRefModel))
 	})
+}
+
+// TestPendingSumSwitchesOnMidRun switches the pending-set accumulator on
+// from inside a same-instant run, with events pending at every wheel
+// level, on the spill list, and later in the run (one of them canceled
+// just before), and checks it against an engine that kept the sum from
+// the start.
+func TestPendingSumSwitchesOnMidRun(t *testing.T) {
+	run := func(eager bool) (mid, end uint64) {
+		e := NewEngine()
+		if eager {
+			e.pendingSum()
+		}
+		for _, d := range equivDeltas {
+			e.After(d+7, func() {})
+		}
+		var victim EventRef
+		e.At(100*Nanosecond, func() {
+			e.Cancel(victim)
+			e.After(3*Microsecond, func() {})
+			mid = e.pendingSum()
+		})
+		e.At(100*Nanosecond, func() {})
+		victim = e.At(100*Nanosecond, func() {})
+		e.At(100*Nanosecond, func() {})
+		e.RunUntil(100 * Millisecond)
+		return mid, e.pendingSum()
+	}
+	lazyMid, lazyEnd := run(false)
+	eagerMid, eagerEnd := run(true)
+	if lazyMid != eagerMid || lazyEnd != eagerEnd {
+		t.Fatalf("lazy sum %x/%x, eager %x/%x", lazyMid, lazyEnd, eagerMid, eagerEnd)
+	}
+	if lazyMid == lazyEnd {
+		t.Fatal("the pending set did not change between the two reads")
+	}
 }

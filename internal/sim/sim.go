@@ -86,7 +86,6 @@ type event struct {
 	at   Time
 	seq  uint64
 	gen  uint64
-	mix  uint64 // cached pendMix(at, seq); computed in alloc, spent in retire
 	slot int32  // flat wheel slot index, or slotNone/slotSpill/slotRun
 	next *event // slot/spill list links
 	prev *event
@@ -148,8 +147,11 @@ type Engine struct {
 	// scheduling adds a mix of (at, seq), retiring subtracts it. Order-
 	// independent, so it depends on the schedule history alone, and
 	// DigestState stays O(1) in the pending count — which matters because
-	// fine-mode fingerprinting digests the engine after every event.
+	// fine-mode fingerprinting digests the engine after every event. Only
+	// DigestState reads it, so it stays off (pendOn false) until the first
+	// call, which sums the pending set once; see pendingSum.
 	pendSum uint64
+	pendOn  bool
 
 	// meter, when set, receives batched event counts so another
 	// goroutine can watch progress live; see Meter.
@@ -199,6 +201,17 @@ func pendMix(at Time, seq uint64) uint64 {
 	return x
 }
 
+// pendingSum returns the pendSum accumulator, switching it on first: the
+// first call sums the pending multiset once, and alloc and retire keep it
+// current from then on. Runs nobody digests never pay for it.
+func (e *Engine) pendingSum() uint64 {
+	if !e.pendOn {
+		e.pendSum = e.wheel.sumPending()
+		e.pendOn = true
+	}
+	return e.pendSum
+}
+
 // alloc hands out an event node, reusing a retired one when available.
 func (e *Engine) alloc(t Time) *event {
 	var ev *event
@@ -214,8 +227,9 @@ func (e *Engine) alloc(t Time) *event {
 	ev.at = t
 	ev.seq = e.seq
 	e.seq++
-	ev.mix = pendMix(ev.at, ev.seq)
-	e.pendSum += ev.mix
+	if e.pendOn {
+		e.pendSum += pendMix(ev.at, ev.seq)
+	}
 	return ev
 }
 
@@ -223,7 +237,9 @@ func (e *Engine) alloc(t Time) *event {
 // to the freelist. The callback fields are cleared so the freelist does not
 // pin closures or packet arguments beyond the event's life.
 func (e *Engine) retire(ev *event) {
-	e.pendSum -= ev.mix
+	if e.pendOn {
+		e.pendSum -= pendMix(ev.at, ev.seq)
+	}
 	ev.fn = nil
 	ev.afn = nil
 	ev.arg = nil
@@ -480,8 +496,9 @@ func (e *Engine) FreelistLen() int { return len(e.free) }
 // schedule/fire/cancel history alone — not of the wheel's internal
 // layout — so two byte-identical runs digest identically, and any
 // divergence in event timing or ordering shows up at the epoch it happens. The accumulator
-// keeps the digest O(1) in the pending count, which fine-mode
-// fingerprinting (one engine digest per event) depends on.
+// keeps the digest O(1) in the pending count after the first call (which
+// sums the pending set once), and fine-mode fingerprinting (one engine
+// digest per event) depends on that.
 func (e *Engine) DigestState(h *digest.Hash) {
 	h.WriteInt64(int64(e.now))
 	h.WriteUint64(e.seq)
@@ -491,7 +508,7 @@ func (e *Engine) DigestState(h *digest.Hash) {
 	h.WriteUint64(e.recycled)
 	h.WriteInt(e.pendMax)
 	h.WriteInt(e.Len())
-	h.WriteUint64(e.pendSum)
+	h.WriteUint64(e.pendingSum())
 	h.WriteInt(len(e.free))
 	for _, ev := range e.free {
 		h.WriteUint64(ev.gen)

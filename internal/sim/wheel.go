@@ -461,6 +461,26 @@ func (w *wheel) requeueRun() {
 	}
 }
 
+// sumPending folds every pending event into a pendMix sum: the wheel
+// slots, the spill list, and the live remainder of the current run.
+func (w *wheel) sumPending() uint64 {
+	var sum uint64
+	for i := range w.slots {
+		for ev := w.slots[i].head; ev != nil; ev = ev.next {
+			sum += pendMix(ev.at, ev.seq)
+		}
+	}
+	for ev := w.spillHead; ev != nil; ev = ev.next {
+		sum += pendMix(ev.at, ev.seq)
+	}
+	for _, ent := range w.run[w.runPos:] {
+		if ent.ev.gen == ent.gen {
+			sum += pendMix(ent.ev.at, ent.ev.seq)
+		}
+	}
+	return sum
+}
+
 // insertionSortRun sorts a same-instant run by seq. Runs are tiny and
 // nearly sorted when this is ever needed, so insertion sort wins.
 func insertionSortRun(run []runEntry) {
