@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 )
@@ -24,16 +25,25 @@ type ledgerCellKey struct {
 	reason string
 }
 
-// readLedgerCounts extracts the {"count":true,...} exact-counter lines
-// from a tcnsim -ledger JSONL export; verdict and summary lines are
-// skipped.
+// readLedgerCounts reads the ledger export at path; see parseLedgerCounts.
 func readLedgerCounts(path string) (map[ledgerCellKey]int64, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	sc := bufio.NewScanner(f)
+	out, err := parseLedgerCounts(f)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return out, nil
+}
+
+// parseLedgerCounts extracts the {"count":true,...} exact-counter lines
+// from a tcnsim -ledger JSONL export; verdict and summary lines are
+// skipped.
+func parseLedgerCounts(r io.Reader) (map[ledgerCellKey]int64, error) {
+	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
 	out := map[ledgerCellKey]int64{}
 	line := 0
@@ -51,7 +61,7 @@ func readLedgerCounts(path string) (map[ledgerCellKey]int64, error) {
 			N      int64  `json:"n"`
 		}
 		if err := json.Unmarshal(raw, &l); err != nil {
-			return nil, fmt.Errorf("%s: line %d: %w", path, line, err)
+			return nil, fmt.Errorf("line %d: %w", line, err)
 		}
 		if !l.Count {
 			continue

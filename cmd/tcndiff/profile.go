@@ -3,6 +3,7 @@ package main
 import (
 	"bufio"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"strconv"
@@ -19,17 +20,26 @@ type profileDelta struct {
 
 func (p profileDelta) delta() int64 { return p.vb - p.va }
 
-// readFolded parses a folded-stacks export: one `frame;frame;... value`
-// line per component stack, the value being executed events (or wall
-// nanoseconds under -profile-wall). Frames never contain spaces, so the
-// value is everything after the last space.
+// readFolded reads the folded-stacks export at path; see parseFolded.
 func readFolded(path string) (map[string]int64, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	sc := bufio.NewScanner(f)
+	out, err := parseFolded(f)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return out, nil
+}
+
+// parseFolded parses a folded-stacks export: one `frame;frame;... value`
+// line per component stack, the value being executed events (or wall
+// nanoseconds under -profile-wall). Frames never contain spaces, so the
+// value is everything after the last space.
+func parseFolded(r io.Reader) (map[string]int64, error) {
+	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
 	out := map[string]int64{}
 	line := 0
@@ -41,14 +51,14 @@ func readFolded(path string) (map[string]int64, error) {
 		}
 		i := strings.LastIndexByte(text, ' ')
 		if i <= 0 {
-			return nil, fmt.Errorf("%s: line %d: malformed folded line %q", path, line, text)
+			return nil, fmt.Errorf("line %d: malformed folded line %q", line, text)
 		}
 		v, err := strconv.ParseInt(text[i+1:], 10, 64)
 		if err != nil {
-			return nil, fmt.Errorf("%s: line %d: bad value %q", path, line, text[i+1:])
+			return nil, fmt.Errorf("line %d: bad value %q", line, text[i+1:])
 		}
 		if _, dup := out[text[:i]]; dup {
-			return nil, fmt.Errorf("%s: line %d: duplicate stack %q", path, line, text[:i])
+			return nil, fmt.Errorf("line %d: duplicate stack %q", line, text[:i])
 		}
 		out[text[:i]] = v
 	}

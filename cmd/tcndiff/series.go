@@ -3,6 +3,7 @@ package main
 import (
 	"bufio"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"strconv"
@@ -30,16 +31,25 @@ type seriesPoint struct {
 	v  float64
 }
 
-// readSeriesCSV parses a `series,time_ns,value` CSV (the tcnsim
-// -timeseries export) into per-series point lists, preserving
-// first-appearance order of the series names.
+// readSeriesCSV reads the timeseries CSV at path; see parseSeriesCSV.
 func readSeriesCSV(path string) (map[string][]seriesPoint, []string, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, nil, err
 	}
 	defer f.Close()
-	sc := bufio.NewScanner(f)
+	byName, order, err := parseSeriesCSV(f)
+	if err != nil {
+		return nil, nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return byName, order, nil
+}
+
+// parseSeriesCSV parses a `series,time_ns,value` CSV (the tcnsim
+// -timeseries export) into per-series point lists, preserving
+// first-appearance order of the series names.
+func parseSeriesCSV(r io.Reader) (map[string][]seriesPoint, []string, error) {
+	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
 	byName := map[string][]seriesPoint{}
 	var order []string
@@ -49,7 +59,7 @@ func readSeriesCSV(path string) (map[string][]seriesPoint, []string, error) {
 		text := sc.Text()
 		if line == 1 {
 			if text != "series,time_ns,value" {
-				return nil, nil, fmt.Errorf("%s: not a timeseries CSV (header %q)", path, text)
+				return nil, nil, fmt.Errorf("not a timeseries CSV (header %q)", text)
 			}
 			continue
 		}
@@ -58,15 +68,15 @@ func readSeriesCSV(path string) (map[string][]seriesPoint, []string, error) {
 		}
 		parts := strings.SplitN(text, ",", 3)
 		if len(parts) != 3 {
-			return nil, nil, fmt.Errorf("%s: line %d: malformed row %q", path, line, text)
+			return nil, nil, fmt.Errorf("line %d: malformed row %q", line, text)
 		}
 		at, err := strconv.ParseInt(parts[1], 10, 64)
 		if err != nil {
-			return nil, nil, fmt.Errorf("%s: line %d: bad time %q", path, line, parts[1])
+			return nil, nil, fmt.Errorf("line %d: bad time %q", line, parts[1])
 		}
 		v, err := strconv.ParseFloat(parts[2], 64)
 		if err != nil {
-			return nil, nil, fmt.Errorf("%s: line %d: bad value %q", path, line, parts[2])
+			return nil, nil, fmt.Errorf("line %d: bad value %q", line, parts[2])
 		}
 		if _, ok := byName[parts[0]]; !ok {
 			order = append(order, parts[0])

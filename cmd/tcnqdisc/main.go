@@ -13,8 +13,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -27,19 +29,30 @@ import (
 	"tcn/internal/sim"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the whole command: it parses args, writes the report to stdout
+// and errors to stderr, and returns the exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("tcnqdisc", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		markerName = flag.String("marker", "tcn", "tcn | tcn-prob | codel | red | red-deq | port-red | dynred | wred | none")
-		schedName  = flag.String("sched", "dwrr", "fifo | dwrr | wfq | sp-dwrr | sp-wfq")
-		classes    = flag.Int("classes", 4, "service classes / queues")
-		rateBps    = flag.Float64("rate", 1e9, "line rate, bits per second")
-		threshold  = flag.Duration("threshold", 256*time.Microsecond, "TCN threshold / RTT×λ")
-		buffer     = flag.Int("buffer", 96_000, "shared buffer bytes (0 = unlimited)")
-		burst      = flag.Int("burst", 20, "packets per periodic burst")
-		duration   = flag.Duration("dur", 200*time.Millisecond, "simulated duration")
-		seed       = flag.Int64("seed", 1, "random seed")
+		markerName = fs.String("marker", "tcn", "tcn | tcn-prob | codel | red | red-deq | port-red | dynred | wred | none")
+		schedName  = fs.String("sched", "dwrr", "fifo | dwrr | wfq | sp-dwrr | sp-wfq")
+		classes    = fs.Int("classes", 4, "service classes / queues")
+		rateBps    = fs.Float64("rate", 1e9, "line rate, bits per second")
+		threshold  = fs.Duration("threshold", 256*time.Microsecond, "TCN threshold / RTT×λ")
+		buffer     = fs.Int("buffer", 96_000, "shared buffer bytes (0 = unlimited)")
+		burst      = fs.Int("burst", 20, "packets per periodic burst")
+		duration   = fs.Duration("dur", 200*time.Millisecond, "simulated duration")
+		seed       = fs.Int64("seed", 1, "random seed")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	eng := sim.NewEngine()
 	rng := sim.NewRand(*seed)
@@ -48,7 +61,15 @@ func main() {
 	kbytes := aqm.StandardThreshold(int64(rate), thr)
 
 	scheduler := buildSched(*schedName, *classes)
+	if scheduler == nil {
+		fmt.Fprintf(stderr, "tcnqdisc: unknown scheduler %q\n", *schedName)
+		return 2
+	}
 	marker := buildMarker(*markerName, *classes, thr, kbytes, rng)
+	if marker == nil {
+		fmt.Fprintf(stderr, "tcnqdisc: unknown marker %q\n", *markerName)
+		return 2
+	}
 
 	type classStats struct {
 		sent, marked, dropped int
@@ -109,18 +130,20 @@ func main() {
 	eng.After(sim.Millisecond, bursts)
 	eng.RunUntil(stop + 100*sim.Millisecond)
 
-	fmt.Printf("marker=%s scheduler=%s rate=%v threshold=%v buffer=%dB\n\n",
+	fmt.Fprintf(stdout, "marker=%s scheduler=%s rate=%v threshold=%v buffer=%dB\n\n",
 		marker.Name(), scheduler.Name(), rate, thr, *buffer)
-	fmt.Printf("%-6s %8s %8s %8s %12s\n", "class", "sent", "marked", "dropped", "mean delay")
+	fmt.Fprintf(stdout, "%-6s %8s %8s %8s %12s\n", "class", "sent", "marked", "dropped", "mean delay")
 	for c, s := range stats {
 		mean := sim.Time(0)
 		if s.sent > 0 {
 			mean = s.delaySum / sim.Time(s.sent)
 		}
-		fmt.Printf("%-6d %8d %8d %8d %12v\n", c, s.sent, s.marked, s.dropped, mean)
+		fmt.Fprintf(stdout, "%-6d %8d %8d %8d %12v\n", c, s.sent, s.marked, s.dropped, mean)
 	}
+	return 0
 }
 
+// buildSched returns the named scheduler, or nil for an unknown name.
 func buildSched(name string, classes int) sched.Scheduler {
 	low := classes - 1
 	switch name {
@@ -135,12 +158,11 @@ func buildSched(name string, classes int) sched.Scheduler {
 	case "sp-wfq":
 		return sched.NewSPOver(1, sched.NewWFQEqual(low))
 	default:
-		fmt.Fprintf(os.Stderr, "unknown scheduler %q\n", name)
-		os.Exit(2)
 		return nil
 	}
 }
 
+// buildMarker returns the named marker, or nil for an unknown name.
 func buildMarker(name string, classes int, thr sim.Time, kbytes int, rng *sim.Rand) core.Marker {
 	switch name {
 	case "tcn":
@@ -162,8 +184,6 @@ func buildMarker(name string, classes int, thr sim.Time, kbytes int, rng *sim.Ra
 	case "none":
 		return core.Nop{}
 	default:
-		fmt.Fprintf(os.Stderr, "unknown marker %q\n", name)
-		os.Exit(2)
 		return nil
 	}
 }

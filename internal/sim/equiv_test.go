@@ -22,6 +22,12 @@ type equivFiring struct {
 	at  Time
 }
 
+// equivPeek is one NextEventTime answer.
+type equivPeek struct {
+	at Time
+	ok bool
+}
+
 // equivState is the engine state the model predicts after each op.
 type equivState struct {
 	now                           Time
@@ -66,6 +72,7 @@ type opTarget interface {
 	cancel(handle int)
 	runUntil(deadline Time)
 	stop()
+	peek() equivPeek
 	state() equivState
 }
 
@@ -90,6 +97,10 @@ func (t *engineTarget) schedule(d Time, tag int64) {
 func (t *engineTarget) cancel(h int)           { t.e.Cancel(t.refs[h]) }
 func (t *engineTarget) runUntil(deadline Time) { t.e.RunUntil(deadline) }
 func (t *engineTarget) stop()                  { t.e.Stop() }
+func (t *engineTarget) peek() equivPeek {
+	at, ok := t.e.NextEventTime()
+	return equivPeek{at, ok}
+}
 func (t *engineTarget) state() equivState {
 	e := t.e
 	return equivState{e.Now(), e.Scheduled(), e.Executed, e.Canceled(), e.Len(), e.PendingHighWater(), e.pendingSum()}
@@ -161,6 +172,17 @@ func (m *refModel) runUntil(deadline Time) {
 
 func (m *refModel) stop() { m.stopped = true }
 
+func (m *refModel) peek() equivPeek {
+	if len(m.pending) == 0 {
+		return equivPeek{}
+	}
+	at := m.pending[0].at
+	for _, ev := range m.pending {
+		at = min(at, ev.at)
+	}
+	return equivPeek{at, true}
+}
+
 func (m *refModel) state() equivState {
 	var sum uint64
 	for _, ev := range m.pending {
@@ -169,10 +191,11 @@ func (m *refModel) state() equivState {
 	return equivState{m.clock, m.seq, m.executed, m.canceled, len(m.pending), m.pendMax, sum}
 }
 
-// equivRun is one op stream's trace: the firing log and the state after
-// every top-level op.
+// equivRun is one op stream's trace: the firing log, the peeked instants,
+// and the state after every top-level op.
 type equivRun struct {
 	log    []equivFiring
+	peeks  []equivPeek
 	states []equivState
 }
 
@@ -215,6 +238,13 @@ func (s *opStream) fire(tag int64) {
 	}
 }
 
+// peek records the target's earliest pending instant. It must change
+// nothing: later ops, even schedules before the peeked instant, run as if
+// it never happened.
+func (s *opStream) peek() {
+	s.run.peeks = append(s.run.peeks, s.tgt.peek())
+}
+
 func (s *opStream) schedule(d Time) {
 	s.tgt.schedule(d, s.nextTag)
 	s.nextTag++
@@ -242,6 +272,11 @@ func compareRuns(t *testing.T, what string, eng, ref equivRun) {
 	}
 	if len(eng.log) != len(ref.log) {
 		t.Fatalf("%s: engine fired %d events, reference %d", what, len(eng.log), len(ref.log))
+	}
+	for i := range eng.peeks {
+		if eng.peeks[i] != ref.peeks[i] {
+			t.Fatalf("%s: peek %d diverged: engine %+v, reference %+v", what, i, eng.peeks[i], ref.peeks[i])
+		}
 	}
 	for i := range eng.states {
 		if eng.states[i] != ref.states[i] {
@@ -274,6 +309,9 @@ func runEquivWorkload(t *testing.T, mk newTarget, seed int64, ops int) equivRun 
 			}
 		default:
 			s.tgt.runUntil(s.tgt.now() + Time(r.Range(0, int(2*Millisecond))))
+			// A peek between runs is where a cursor-moving lookup would
+			// strand the schedules that follow it.
+			s.peek()
 		}
 		s.op(t)
 	}
@@ -332,12 +370,15 @@ func TestWheelHeapEquivalenceStop(t *testing.T) {
 
 // FuzzWheelHeapEquivalence interprets the fuzz input as an op stream and
 // checks the engine against the reference model on it. Each byte pair is
-// one op: schedule at one of the delta buckets, cancel a handle, or run a
-// bounded chunk.
+// one op: schedule at one of the delta buckets, cancel a handle, run a
+// bounded chunk, or peek at the earliest pending instant.
 func FuzzWheelHeapEquivalence(f *testing.F) {
 	f.Add([]byte{0x00, 0x01, 0x22, 0x53, 0x84, 0xb5, 0xe6, 0x17, 0x48, 0x79})
 	f.Add([]byte{0xff, 0xfe, 0xfd, 0xfc, 0x00, 0x00, 0x00, 0x00})
 	f.Add([]byte{0x10, 0x90, 0x20, 0xa0, 0x30, 0xb0, 0x40, 0xc0, 0x50, 0xd0})
+	// Schedule at 5 us, peek, schedule at 50 ns, drain: the peek must not
+	// strand the earlier event.
+	f.Add([]byte{0x00, 0x03, 0x04, 0x00, 0x00, 0x02})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 4096 {
 			data = data[:4096]
@@ -346,7 +387,7 @@ func FuzzWheelHeapEquivalence(f *testing.F) {
 			s := newOpStream(mk, false, -1)
 			for i := 0; i+1 < len(data); i += 2 {
 				op, arg := data[i], data[i+1]
-				switch op % 4 {
+				switch op % 5 {
 				case 0, 1:
 					s.schedule(equivDeltas[int(arg)%len(equivDeltas)])
 				case 2:
@@ -355,6 +396,8 @@ func FuzzWheelHeapEquivalence(f *testing.F) {
 					}
 				case 3:
 					s.tgt.runUntil(s.tgt.now() + Time(arg)*Microsecond)
+				case 4:
+					s.peek()
 				}
 				s.op(t)
 			}

@@ -453,10 +453,10 @@ func (e *Engine) RunUntil(deadline Time) uint64 {
 }
 
 // NextEventTime reports the timestamp of the earliest pending event. The
-// lookup may advance the wheel's scan cursor and cascade windows, which
-// never perturbs event order or digests; call it between runs, not from
+// lookup only reads the wheel, so events scheduled afterwards, even before
+// the reported instant, still fire in time order. It may be called from
 // inside a callback.
-func (e *Engine) NextEventTime() (Time, bool) { return e.wheel.findNext(MaxTime) }
+func (e *Engine) NextEventTime() (Time, bool) { return e.wheel.peek() }
 
 // Self-telemetry accessors; see internal/obs/perf for the layer that
 // aggregates them across a campaign.

@@ -136,6 +136,63 @@ func TestRunUntilLeavesLaterEvents(t *testing.T) {
 	}
 }
 
+// TestNextEventTimeLosesNothing schedules an event, peeks at it, and then
+// schedules an earlier one: both must fire, in time order, whether the
+// peeked event sits at level 0 or at level 1. A peek that moved the
+// wheel's cursor to the peeked instant stranded the earlier event behind
+// it, still counted as pending but never fired.
+func TestNextEventTimeLosesNothing(t *testing.T) {
+	for _, c := range []struct {
+		name          string
+		first, second Time
+	}{
+		{"level0", 1000 * Nanosecond, 500 * Nanosecond},
+		{"level1", 100 * Microsecond, 50 * Microsecond},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			e := NewEngine()
+			var got []Time
+			fire := func() { got = append(got, e.Now()) }
+			e.At(c.first, fire)
+			if next, ok := e.NextEventTime(); !ok || next != c.first {
+				t.Fatalf("NextEventTime = %v, %v; want %v, true", next, ok, c.first)
+			}
+			if n := e.Cascades(); n != 0 {
+				t.Fatalf("the peek cascaded %d events", n)
+			}
+			e.At(c.second, fire)
+			if next, _ := e.NextEventTime(); next != c.second {
+				t.Fatalf("NextEventTime = %v after scheduling %v", next, c.second)
+			}
+			e.Run()
+			if want := []Time{c.second, c.first}; len(got) != 2 || got[0] != want[0] || got[1] != want[1] {
+				t.Fatalf("fired at %v, want %v", got, want)
+			}
+			if _, ok := e.NextEventTime(); ok || e.Len() != 0 {
+				t.Fatalf("%d events still pending after Run", e.Len())
+			}
+		})
+	}
+}
+
+// TestNextEventTimeInsideRun peeks from inside a same-instant run: the
+// rest of the run is the earliest pending work.
+func TestNextEventTimeInsideRun(t *testing.T) {
+	e := NewEngine()
+	var peeked []Time
+	peek := func() {
+		next, _ := e.NextEventTime()
+		peeked = append(peeked, next)
+	}
+	e.At(10*Nanosecond, peek)
+	e.At(10*Nanosecond, peek)
+	e.At(20*Microsecond, func() {})
+	e.Run()
+	if len(peeked) != 2 || peeked[0] != 10*Nanosecond || peeked[1] != 20*Microsecond {
+		t.Fatalf("peeks inside the run saw %v, want [10ns 20us]", peeked)
+	}
+}
+
 func TestStop(t *testing.T) {
 	e := NewEngine()
 	fired := 0

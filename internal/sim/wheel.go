@@ -12,13 +12,16 @@ import "math/bits"
 //
 // The bottom level is deliberately wide: most events a packet simulation
 // schedules — serialization times, link latencies, ACK clocks — land within
-// a few microseconds, so a 2^14-slot level 0 lets them place directly at
-// their firing slot with zero cascades while the slot array (256 KB) stays
-// cache-resident. Wider bottoms (2^16) eliminate a few more cascades but
-// lose more to cache misses on the slot array; narrower ones (2^10) push
-// the bulk of placements through 1-2 cascades. Only RTT-and-above timers (a
-// small minority, and RTOs are usually canceled before they travel) pay a
-// cascade.
+// a few microseconds, while the 2^14-slot array (256 KB) stays
+// cache-resident. Placement is by XOR with the cursor (below), so a near
+// event places directly at level 0 only when it shares the cursor's
+// 16.4 us-aligned block; one that crosses the block boundary goes to
+// level 1 and cascades once when the cursor enters its block. Near events
+// therefore cascade often: the Fig 6 testbed workload (perfbench
+// fig6-testbed, seed 3) cascades 5.26 M times for 9.33 M events, about
+// 0.56 per event. Wider bottoms (2^16) eliminate some cascades but lose
+// more to cache misses on the slot array; narrower ones (2^10) push more
+// placements through 1-2 cascades.
 //
 // An event at absolute time t goes to the lowest level whose window,
 // anchored at the scan cursor cur, contains t: level L iff
@@ -340,6 +343,45 @@ func (w *wheel) findNext(deadline Time) (Time, bool) {
 		if !w.climb(deadline) {
 			return 0, false
 		}
+	}
+	return 0, false
+}
+
+// peek reports the earliest pending instant without moving the cursor or
+// cascading anything, so placements stay anchored where they were. Level 0
+// is scanned from the cursor as in findNext; otherwise the earliest event
+// sits in the first occupied slot ahead of the cursor at the lowest
+// occupied level (higher levels and the spill list only hold later
+// events), and that slot's list is scanned for its minimum.
+func (w *wheel) peek() (Time, bool) {
+	for _, ent := range w.run[w.runPos:] {
+		if ent.ev.gen == ent.gen {
+			return ent.ev.at, true // the rest of a same-instant run
+		}
+	}
+	cur := uint64(w.cur)
+	if w.count[0] > 0 {
+		if s, ok := w.scan0(int(cur & l0Mask)); ok {
+			return Time(cur&^uint64(l0Mask) | uint64(s)), true
+		}
+	}
+	for lvl := 1; lvl < wheelLevels; lvl++ {
+		if w.count[lvl] == 0 {
+			continue
+		}
+		s, ok := w.scanHi(lvl, int(cur>>hiShift(lvl)&wheelMask)+1)
+		if !ok {
+			continue
+		}
+		ev := w.slots[l0Slots+(lvl-1)*wheelSlots+s].head
+		t := ev.at
+		for ; ev != nil; ev = ev.next {
+			t = min(t, ev.at)
+		}
+		return t, true
+	}
+	if w.spillCount > 0 {
+		return w.spillHead.at, true
 	}
 	return 0, false
 }

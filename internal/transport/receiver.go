@@ -14,7 +14,7 @@ type receiver struct {
 	flow  *Flow
 
 	rcvNxt   int64
-	ooo      map[int64]int64 // segment start -> end, for gaps
+	held     heldSegs // out-of-order segments beyond rcvNxt
 	finished bool
 	counting bool // datagram mode: count every payload byte, never ACK
 
@@ -25,7 +25,7 @@ type receiver struct {
 }
 
 func newReceiver(s *Stack, f *Flow) *receiver {
-	return &receiver{stack: s, flow: f, ooo: make(map[int64]int64)}
+	return &receiver{stack: s, flow: f}
 }
 
 // newCountingReceiver returns a receiver for unreliable streams (CBR):
@@ -51,21 +51,12 @@ func (r *receiver) onData(p *pkt.Packet) {
 	switch {
 	case p.Seq == r.rcvNxt:
 		old := r.rcvNxt
-		r.rcvNxt = end
-		// Absorb any previously buffered contiguous segments.
-		for {
-			e, ok := r.ooo[r.rcvNxt]
-			if !ok {
-				break
-			}
-			delete(r.ooo, r.rcvNxt)
-			r.rcvNxt = e
-		}
+		r.rcvNxt = r.held.absorb(end)
 		if r.stack.OnDeliver != nil {
 			r.stack.OnDeliver(r.stack.eng.Now(), r.flow, int(r.rcvNxt-old))
 		}
 	case p.Seq > r.rcvNxt:
-		r.ooo[p.Seq] = end
+		r.held.hold(p.Seq, p.Len)
 		dup = true
 	default:
 		// Stale retransmission below rcvNxt.
@@ -87,6 +78,7 @@ func (r *receiver) onData(p *pkt.Packet) {
 	}
 	if !r.finished && r.rcvNxt >= r.flow.Size {
 		r.finished = true
+		r.held = heldSegs{} // every held key is below rcvNxt now
 		r.stack.finish(r.flow)
 	}
 }
