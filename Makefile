@@ -47,6 +47,7 @@ fuzz-smoke:
 	$(GO) test -tags=invariants -run '^$$' -fuzz FuzzWheelHeapEquivalence -fuzztime 10s ./internal/sim/
 	$(GO) test -tags=invariants -run '^$$' -fuzz FuzzReadTimeline    -fuzztime 10s ./internal/digest/
 	$(GO) test -tags=invariants -run '^$$' -fuzz FuzzHeldSegments    -fuzztime 10s ./internal/transport/
+	$(GO) test -tags=invariants -run '^$$' -fuzz FuzzShaper          -fuzztime 10s ./internal/fabric/
 	$(GO) test -tags=invariants -run '^$$' -fuzz FuzzParseFolded     -fuzztime 10s ./cmd/tcndiff/
 	$(GO) test -tags=invariants -run '^$$' -fuzz FuzzParseSeriesCSV  -fuzztime 10s ./cmd/tcndiff/
 	$(GO) test -tags=invariants -run '^$$' -fuzz FuzzParseLedgerCounts -fuzztime 10s ./cmd/tcndiff/

@@ -7,17 +7,21 @@ import (
 	"tcn/internal/digest"
 	"tcn/internal/fabric"
 	"tcn/internal/invariant"
+	"tcn/internal/obs"
+	"tcn/internal/obs/flight"
 	"tcn/internal/sim"
 	"tcn/internal/trace"
 	"tcn/internal/transport"
 )
 
 // TestPacketPathZeroAllocWithLedgerAttached pins the observability
-// contract of the attribution layer: with a decision ledger, a pipeline
-// recorder, and a packet tracer all hooked onto the bottleneck port, the
-// steady-state packet path still allocates nothing. Verdicts live in a
-// per-port scratch struct, ledger cells and rings are created during
-// warm-up, and recording is copy-into-preallocated-memory from then on.
+// contract of the attribution layer: with all five per-packet observers —
+// a decision ledger, a pipeline recorder, a packet tracer, the registry's
+// stats bundle and the flight recorder's span tracker — on every switch
+// port, the steady-state packet path still allocates nothing. Verdicts
+// live in a per-port scratch struct, ledger cells, rings and span slots
+// are created during warm-up, and recording is copy-into-preallocated-
+// memory from then on.
 func TestPacketPathZeroAllocWithLedgerAttached(t *testing.T) {
 	if invariant.Enabled {
 		t.Skip("invariant.Checkf boxes its arguments; allocation-freedom only holds in normal builds")
@@ -36,6 +40,8 @@ func TestPacketPathZeroAllocWithLedgerAttached(t *testing.T) {
 	ledger := trace.NewLedger(1 << 12)
 	pipeline := trace.NewPipeline(1 << 12)
 	tracer := trace.New(1 << 12)
+	reg := obs.NewRegistry()
+	rec := flight.New(flight.Config{})
 	for i := 0; i < star.Switch.NumPorts(); i++ {
 		label := "sw.p0"
 		if i == 1 {
@@ -45,6 +51,8 @@ func TestPacketPathZeroAllocWithLedgerAttached(t *testing.T) {
 		tracer.AttachPort(label, p)
 		ledger.AttachPort(label, p)
 		pipeline.AttachPort(label, p)
+		p.Instrument(reg, label)
+		flight.AttachPortSpans(rec, p)
 	}
 	st := transport.NewStack(eng, transport.Config{CC: transport.DCTCP}, star.Hosts)
 	st.Start(&transport.Flow{ID: st.NewFlowID(), Src: 0, Dst: 1, Size: 1 << 40})
@@ -61,6 +69,12 @@ func TestPacketPathZeroAllocWithLedgerAttached(t *testing.T) {
 	}
 	if pipeline.Recorded() == 0 {
 		t.Fatal("pipeline recorded nothing")
+	}
+	if reg.Counter("sw.p1.q0.tx_packets").Value() == 0 {
+		t.Fatal("registry bundle counted nothing")
+	}
+	if spans := rec.Spans().Spans(); len(spans) != 1 || spans[0].Packets == 0 {
+		t.Fatalf("span tracker saw %+v, want one flow with transmissions", spans)
 	}
 	// The attribution stayed causally complete while allocation-free.
 	if ledger.Marked() != tracer.Count(trace.Mark) {

@@ -2,9 +2,27 @@ package main
 
 import (
 	"bytes"
+	"os"
 	"strings"
 	"testing"
 )
+
+// TestDefaultRunGolden pins the default report byte for byte: the qdisc
+// pipeline (classifier, markers, scheduler, shaper) must keep every
+// departure instant and mark.
+func TestDefaultRunGolden(t *testing.T) {
+	want, err := os.ReadFile("testdata/default.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stdout, stderr bytes.Buffer
+	if code := run(nil, &stdout, &stderr); code != 0 {
+		t.Fatalf("exit %d, want 0; stderr: %s", code, stderr.String())
+	}
+	if !bytes.Equal(stdout.Bytes(), want) {
+		t.Fatalf("default report changed:\n%s\nwant:\n%s", stdout.Bytes(), want)
+	}
+}
 
 func TestShortRun(t *testing.T) {
 	var stdout, stderr bytes.Buffer

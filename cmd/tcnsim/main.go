@@ -575,6 +575,7 @@ func runFig5a(c runConfig) {
 	fmt.Println("== Figure 5a: SP/WFQ goodput under TCN ==")
 	cfg := experiments.DefaultFig5()
 	cfg.Seed = c.seed
+	cfg.Obs = obsSink
 	res := experiments.RunFig5a(cfg)
 	fmt.Printf("steady-state goodput: q1(SP)=%.0f q2(WFQ)=%.0f q3(WFQ)=%.0f Mbps\n",
 		res.SteadyMbps[0], res.SteadyMbps[1], res.SteadyMbps[2])
@@ -604,6 +605,7 @@ func runFig5b(c runConfig) {
 		cfg := experiments.DefaultFig5()
 		cfg.Scheme = s
 		cfg.Seed = c.seed
+		cfg.Obs = obsSink
 		res := experiments.RunFig5b(cfg)
 		fmt.Printf("%-10s %12s %12s %8d\n", s, res.MeanRTT, res.P99RTT, len(res.Samples))
 	}

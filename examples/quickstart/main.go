@@ -7,6 +7,8 @@ package main
 
 import (
 	"fmt"
+	"io"
+	"os"
 
 	"tcn/internal/core"
 	"tcn/internal/fabric"
@@ -16,7 +18,10 @@ import (
 	"tcn/internal/sim"
 )
 
-func main() {
+func main() { run(os.Stdout) }
+
+// run builds the pipeline, drives it and writes the report to w.
+func run(w io.Writer) {
 	eng := sim.NewEngine()
 
 	// A 1 Gbps egress with two DWRR service queues guarded by TCN with
@@ -55,10 +60,10 @@ func main() {
 
 	eng.Run()
 
-	fmt.Printf("transmitted %d packets, CE-marked %d (%.0f%%)\n",
+	fmt.Fprintf(w, "transmitted %d packets, CE-marked %d (%.0f%%)\n",
 		sent, marked, 100*float64(marked)/float64(sent))
-	fmt.Printf("TCN threshold %v; marks recorded by the marker: %d\n",
+	fmt.Fprintf(w, "TCN threshold %v; marks recorded by the marker: %d\n",
 		tcn.Threshold, tcn.Marks)
-	fmt.Println("the steady service-0 trickle passes unmarked; only the")
-	fmt.Println("burst's tail, which waited longer than RTT×λ, was marked.")
+	fmt.Fprintln(w, "the steady service-0 trickle passes unmarked; only the")
+	fmt.Fprintln(w, "burst's tail, which waited longer than RTT×λ, was marked.")
 }

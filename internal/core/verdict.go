@@ -128,10 +128,10 @@ func (s Stage) String() string {
 // Verdict is the self-explanation of one marking/dropping decision: the
 // rule that fired (Reason), where in the pipeline (Stage), the outcome,
 // and the instantaneous inputs the rule consulted. The pipeline owner
-// (fabric.Port, qdisc.Qdisc) resets one scratch Verdict per marker call
-// and hands it down; markers fill in only the fields their rule reads, so
-// an exported verdict shows exactly the evidence the decision was based
-// on. The struct is plain data — threading it through the hot path costs
+// (fabric.Port, which a qdisc.Qdisc is) resets one scratch Verdict per
+// marker call and hands it down; markers fill in only the fields their
+// rule reads, so an exported verdict shows exactly the evidence the
+// decision was based on. The struct is plain data — threading it through the hot path costs
 // no allocation.
 type Verdict struct {
 	// Stage is where the decision was rendered.
@@ -158,8 +158,9 @@ type Verdict struct {
 	// Prob is the marking probability in effect, if the rule is
 	// probabilistic (1 for the deterministic region).
 	Prob float64
-	// TokensBytes is the shaper's token-bucket level, when the pipeline
-	// has one (qdisc); 0 otherwise.
+	// TokensBytes is the shaper's token-bucket level, read without a
+	// refill, when the port has a shaper (a qdisc) and observers to see
+	// it; 0 otherwise. The port fills it after marking: no marker reads it.
 	TokensBytes float64
 }
 

@@ -23,8 +23,8 @@ const (
 	// ComponentPort is a fabric egress port: link/busy state, per-queue
 	// transmit tallies, buffer, scheduler credit, marker counters.
 	ComponentPort
-	// ComponentQdisc is the software qdisc pipeline: drop/sent tallies,
-	// shaper token bucket, buffer, scheduler, marker.
+	// ComponentQdisc is a software qdisc: a shaped fabric port, digested
+	// as ComponentPort plus its waiting flag and token bucket.
 	ComponentQdisc
 	// ComponentBuffer is a standalone shared egress buffer.
 	ComponentBuffer

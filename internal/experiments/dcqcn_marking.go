@@ -130,7 +130,7 @@ func RunDCQCNMarking(cfg DCQCNMarkingConfig) DCQCNMarkingResult {
 	for _, s := range snds {
 		res.CNPs += s.CNPs
 	}
-	cfg.Obs.ReportCell(eng, st.Pool())
+	cfg.Obs.ReportCell(eng, st.Pool(), net.Switch)
 	return res
 }
 

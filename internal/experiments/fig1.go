@@ -122,7 +122,7 @@ func runFig1Point(cfg Fig1Config, n int) Fig1Point {
 	if total > 0 {
 		share = s2 / total
 	}
-	cfg.Obs.ReportCell(eng, st.Pool())
+	cfg.Obs.ReportCell(eng, st.Pool(), net.Switch)
 	return Fig1Point{
 		Service2Flows: n,
 		Service1Mbps:  s1,

@@ -161,6 +161,7 @@ func runFig2Once(cfg Fig2Config, scheme Scheme, dqThresh int, name string) Fig2T
 	}
 
 	eng.RunUntil(cfg.Duration)
+	cfg.Obs.ReportCell(eng, st.Pool(), net.Switch)
 
 	tr.Raw = samplesOf(rawSeries)
 	tr.Smoothed = samplesOf(smoothedSeries)

@@ -108,6 +108,7 @@ func runFig3Once(cfg Fig3Config, scheme Scheme) Fig3Trace {
 		return float64(port.PortBytes())
 	})
 	eng.RunUntil(cfg.Duration)
+	cfg.Obs.ReportCell(eng, st.Pool(), net.Switch)
 
 	tr := Fig3Trace{Scheme: scheme, Occupancy: samplesOf(occ)}
 	tr.PeakBytes = int(occ.Max())

@@ -21,6 +21,8 @@ type Fig5Config struct {
 	Duration sim.Time
 	// Seed feeds all randomness.
 	Seed int64
+	// Obs optionally instruments the run; nil = bare.
+	Obs *Obs
 }
 
 // DefaultFig5 returns the paper's configuration.
@@ -60,9 +62,8 @@ func RunFig5a(cfg Fig5Config) Fig5aResult {
 			st.Start(&transport.Flow{ID: st.NewFlowID(), Src: 2, Dst: recv, Size: 1 << 40, Class: 2})
 		}
 	})
-	_ = net
-
 	eng.RunUntil(cfg.Duration)
+	cfg.Obs.ReportCell(eng, st.Pool(), net.Switch)
 
 	res := Fig5aResult{Scheme: cfg.Scheme}
 	for q := 0; q < 3; q++ {
@@ -94,14 +95,13 @@ func RunFig5b(cfg Fig5Config) Fig5bResult {
 	for i := 0; i < 4; i++ {
 		st.Start(&transport.Flow{ID: st.NewFlowID(), Src: 2, Dst: recv, Size: 1 << 40, Class: 2})
 	}
-	_ = net
-
 	// Probe through queue 2 once the system is warm.
 	var pg *transport.Pinger
 	eng.At(cfg.Duration/8, func() {
 		pg = st.StartPinger(2, recv, 2, 10*sim.Millisecond)
 	})
 	eng.RunUntil(cfg.Duration)
+	cfg.Obs.ReportCell(eng, st.Pool(), net.Switch)
 
 	return Fig5bResult{
 		Scheme:  cfg.Scheme,
@@ -116,6 +116,8 @@ func RunFig5b(cfg Fig5Config) Fig5bResult {
 func fig5Setup(cfg Fig5Config) (*sim.Engine, *fabric.Star, *transport.Stack, *metrics.GoodputMeter) {
 	eng := sim.NewEngine()
 	rng := sim.NewRand(cfg.Seed)
+	cfg.Obs.AttachEngine(eng)
+	cfg.Obs.AttachRand(eng, rng)
 
 	pp := PortParams{
 		Queues:        3,
@@ -136,10 +138,12 @@ func fig5Setup(cfg Fig5Config) (*sim.Engine, *fabric.Star, *transport.Stack, *me
 		HostDelay:  120 * sim.Microsecond,
 		SwitchPort: pp.Factory(cfg.Scheme, SchedSPWFQ, rng),
 	})
+	cfg.Obs.AttachStar("fig5."+string(cfg.Scheme), net)
 	st := transport.NewStack(eng, transport.Config{
 		CC:     transport.DCTCP,
 		RTOMin: 10 * sim.Millisecond,
 	}, net.Hosts)
+	cfg.Obs.AttachTransport(st)
 
 	meter := metrics.NewGoodputMeter(3, 100*sim.Millisecond)
 	st.OnDeliver = func(now sim.Time, f *transport.Flow, b int) {

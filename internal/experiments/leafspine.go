@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 
 	"tcn/internal/fabric"
 	"tcn/internal/metrics"
@@ -200,7 +201,7 @@ func RunLeafSpine(cfg LeafSpineConfig) LeafSpineResult {
 	for _, p := range net.SwitchPorts() {
 		res.Drops += p.Buffer().TotalDrops()
 	}
-	cfg.Obs.ReportCell(eng, st.Pool())
+	cfg.Obs.ReportCell(eng, st.Pool(), slices.Concat(net.Leaves, net.Spines)...)
 	cfg.Obs.ReportFCT(col)
 	return res
 }

@@ -150,12 +150,16 @@ func (o *Obs) AttachFCT(eng *sim.Engine, col *metrics.FCTCollector) {
 	}
 }
 
-// ReportCell folds a finished cell's engine and packet-pool counters into
-// the campaign totals and closes the profiler's books for the cell (the
-// final clock advance past the last event becomes engine-owned sim-time).
-// Call it once per cell, after the last RunUntil, from the goroutine that
-// owns the engine.
-func (o *Obs) ReportCell(eng *sim.Engine, pools ...*pkt.Pool) {
+// ReportCell closes a finished cell: it checks the port conservation law
+// on the cell's switches (in every build, observed or not), folds the
+// engine and packet-pool counters into the campaign totals, and closes
+// the profiler's books (the final clock advance past the last event
+// becomes engine-owned sim-time). Every runner calls it once per cell,
+// after the last RunUntil, from the goroutine that owns the engine.
+func (o *Obs) ReportCell(eng *sim.Engine, pool *pkt.Pool, switches ...*fabric.Switch) {
+	for _, sw := range switches {
+		sw.CheckConservation()
+	}
 	if o == nil {
 		return
 	}
@@ -166,9 +170,7 @@ func (o *Obs) ReportCell(eng *sim.Engine, pools ...*pkt.Pool) {
 		return
 	}
 	o.Perf.ReportEngine(eng)
-	for _, p := range pools {
-		o.Perf.ReportPool(p)
-	}
+	o.Perf.ReportPool(pool)
 }
 
 // ReportFCT hands a finished cell's small-flow FCT digest (streaming

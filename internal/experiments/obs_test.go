@@ -10,6 +10,7 @@ import (
 	"tcn/internal/obs"
 	"tcn/internal/obs/flight"
 	"tcn/internal/obs/perf"
+	"tcn/internal/obs/prof"
 	"tcn/internal/sim"
 	"tcn/internal/trace"
 )
@@ -197,5 +198,81 @@ func TestObserversNeverExtendARun(t *testing.T) {
 					o, b, epochs, ticks, want)
 			}
 		})
+	}
+}
+
+// TestProfilerTotalsCoverEveryCell pins that the fig2, fig3 and fig5
+// runners close every cell through ReportCell: with a profiler attached,
+// the attributed sim-time equals cells × Duration, which holds only once
+// FinishEngine has folded each cell's idle tail into its books.
+func TestProfilerTotalsCoverEveryCell(t *testing.T) {
+	fig5 := DefaultFig5()
+	fig5.Stage = 20 * sim.Millisecond
+	fig5.Duration = 80 * sim.Millisecond
+	cases := []struct {
+		name  string
+		cells int64
+		dur   sim.Time
+		run   func(*Obs)
+	}{
+		{"fig2", 3, DefaultFig2().Duration, func(o *Obs) {
+			cfg := DefaultFig2()
+			cfg.Obs = o
+			RunFig2(cfg)
+		}},
+		{"fig3", 3, DefaultFig3().Duration, func(o *Obs) {
+			cfg := DefaultFig3()
+			cfg.Obs = o
+			RunFig3(cfg)
+		}},
+		{"fig5a", 1, fig5.Duration, func(o *Obs) {
+			cfg := fig5
+			cfg.Obs = o
+			RunFig5a(cfg)
+		}},
+		{"fig5b", 1, fig5.Duration, func(o *Obs) {
+			cfg := fig5
+			cfg.Obs = o
+			RunFig5b(cfg)
+		}},
+	}
+	for _, c := range cases {
+		p := prof.New(prof.Config{})
+		c.run(&Obs{Profiler: p})
+		if _, simNs := p.Totals(); simNs != c.cells*int64(c.dur) {
+			t.Errorf("%s: profiler attributes %d ns of sim time, want %d cells × %v = %d",
+				c.name, simNs, c.cells, c.dur, c.cells*int64(c.dur))
+		}
+	}
+}
+
+// TestProfiledStacksDoNotRepeatFrames pins that a port enters its
+// profiler scope once per entry: Send on an idle link transmits inline,
+// and must not nest "port:X" inside itself, which would show every busy
+// port twice in a flame graph.
+func TestProfiledStacksDoNotRepeatFrames(t *testing.T) {
+	p := prof.New(prof.Config{})
+	cfg := DefaultFig3()
+	cfg.Obs = &Obs{Profiler: p}
+	RunFig3(cfg) //tcnlint:walltaint the profiler is deterministic-plane only (no Wall clock) and observe-only
+	var buf bytes.Buffer
+	if err := p.WriteFolded(&buf); err != nil {
+		t.Fatal(err)
+	}
+	stacks := 0
+	for _, line := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
+		stack, _, _ := strings.Cut(line, " ")
+		frames := strings.Split(stack, ";")
+		for i := 1; i < len(frames); i++ {
+			if frames[i] == frames[i-1] {
+				t.Errorf("stack repeats frame %q: %s", frames[i], line)
+			}
+		}
+		if strings.Contains(stack, "port:") {
+			stacks++
+		}
+	}
+	if stacks == 0 {
+		t.Fatal("no port scope in the profile: the check was not exercised")
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"tcn/internal/aqm"
+	"tcn/internal/core"
 	"tcn/internal/fabric"
 	"tcn/internal/pkt"
 	"tcn/internal/sim"
@@ -141,14 +142,14 @@ func TestPoolREDCrossPortIntegration(t *testing.T) {
 	st := transport.NewStack(eng, transport.Config{CC: transport.DCTCP, RTOMin: 10 * sim.Millisecond}, net.Hosts)
 
 	marked, data := 0, 0
-	net.Switch.Port(3).OnTransmit = func(_ sim.Time, _ int, p *pkt.Packet) {
+	net.Switch.Port(3).Observe(onTransmit(func(p *pkt.Packet) {
 		if p.Kind == pkt.Data {
 			data++
 			if p.ECN == pkt.CE {
 				marked++
 			}
 		}
-	}
+	}))
 
 	// Port 4 is congested by two senders' worth of flows; port 3
 	// carries a single flow that could never fill its own queue.
@@ -166,3 +167,10 @@ func TestPoolREDCrossPortIntegration(t *testing.T) {
 		t.Fatalf("victim port marking fraction %.3f; pool pressure should leak across ports", frac)
 	}
 }
+
+// onTransmit is a port observer that calls itself on every departure.
+type onTransmit func(p *pkt.Packet)
+
+func (onTransmit) Enqueue(sim.Time, int, *pkt.Packet)                {}
+func (onTransmit) Verdict(sim.Time, int, *pkt.Packet, *core.Verdict) {}
+func (f onTransmit) Transmit(_ sim.Time, _ int, p *pkt.Packet)       { f(p) }

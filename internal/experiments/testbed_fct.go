@@ -217,7 +217,7 @@ func RunTestbedFCT(cfg TestbedFCTConfig) TestbedFCTResult {
 		res.Drops += net.Switch.Port(i).Buffer().TotalDrops()
 	}
 	res.Marks = markCount(net.Switch.Port(recv).Marker())
-	cfg.Obs.ReportCell(eng, st.Pool())
+	cfg.Obs.ReportCell(eng, st.Pool(), net.Switch)
 	cfg.Obs.ReportFCT(col)
 	return res
 }

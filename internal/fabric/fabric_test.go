@@ -1,6 +1,8 @@
 package fabric
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"tcn/internal/core"
@@ -101,16 +103,16 @@ func TestPortDropsWhenFull(t *testing.T) {
 	eng := sim.NewEngine()
 	sk := &sink{eng: eng}
 	port := NewPort(eng, PortConfig{Rate: Gbps, Queues: 1, BufferBytes: 3000}, sk)
-	dropped := 0
-	port.OnDrop = func(sim.Time, int, *pkt.Packet) { dropped++ }
+	ob := &recorder{}
+	port.Observe(ob)
 	for i := 0; i < 5; i++ {
 		port.Send(&pkt.Packet{Size: 1500})
 	}
 	eng.Run()
 	// First packet enters service immediately (popped from the buffer),
 	// leaving room for two more; the rest drop.
-	if len(sk.pkts) != 3 || dropped != 2 {
-		t.Fatalf("delivered %d dropped %d, want 3/2", len(sk.pkts), dropped)
+	if len(sk.pkts) != 3 || ob.drops != 2 {
+		t.Fatalf("delivered %d dropped %d, want 3/2", len(sk.pkts), ob.drops)
 	}
 	if port.Buffer().TotalDrops() != 2 {
 		t.Fatal("drop counter mismatch")
@@ -139,7 +141,7 @@ func TestPortMarkerPipelineOrder(t *testing.T) {
 	eng := sim.NewEngine()
 	sk := &sink{eng: eng}
 	port := NewPort(eng, PortConfig{Rate: Gbps, Queues: 1, Marker: m}, sk)
-	port.OnTransmit = func(sim.Time, int, *pkt.Packet) { order = append(order, "tx") }
+	port.Observe(&recorder{onTx: func() { order = append(order, "tx") }})
 	port.Send(&pkt.Packet{Size: 100})
 	eng.Run()
 	want := []string{"enq", "deq", "tx"}
@@ -149,6 +151,25 @@ func TestPortMarkerPipelineOrder(t *testing.T) {
 }
 
 type recordingMarker struct{ onEnq, onDeq func() }
+
+// recorder is a test observer: it counts drops and calls onTx, if set,
+// on every transmission.
+type recorder struct {
+	drops int
+	onTx  func()
+}
+
+func (r *recorder) Enqueue(sim.Time, int, *pkt.Packet) {}
+func (r *recorder) Verdict(_ sim.Time, _ int, _ *pkt.Packet, v *core.Verdict) {
+	if v.Dropped {
+		r.drops++
+	}
+}
+func (r *recorder) Transmit(sim.Time, int, *pkt.Packet) {
+	if r.onTx != nil {
+		r.onTx()
+	}
+}
 
 func (r *recordingMarker) Name() string { return "recording" }
 func (r *recordingMarker) OnEnqueue(sim.Time, int, *pkt.Packet, core.PortState, *core.Verdict) {
@@ -351,4 +372,30 @@ func TestDumbbellCongestionAtCore(t *testing.T) {
 	if maxQ < 10_000 {
 		t.Fatalf("core queue never built: %d", maxQ)
 	}
+}
+
+// TestCheckConservationReportsUnbalancedPort unbalances one queue's
+// transmit tally by hand and expects the switch check to name the
+// switch, port and queue.
+func TestCheckConservationReportsUnbalancedPort(t *testing.T) {
+	eng := sim.NewEngine()
+	sw := NewSwitch(eng, 7)
+	sw.AddPort(NewPort(eng, PortConfig{Rate: Gbps, Queues: 2}, &sink{eng: eng}))
+	pt := NewPort(eng, PortConfig{Rate: Gbps, Queues: 2, BufferBytes: 3000}, &sink{eng: eng})
+	sw.AddPort(pt)
+	for i := 0; i < 5; i++ {
+		pt.Send(&pkt.Packet{Size: 1500, DSCP: 1})
+	}
+	eng.RunUntil(20 * sim.Microsecond) // two sent, one buffered, two dropped
+	sw.CheckConservation()
+
+	pt.TxBytes[1]--
+	defer func() {
+		msg := fmt.Sprint(recover())
+		if !strings.Contains(msg, "sw7.p1") || !strings.Contains(msg, "queue 1") {
+			t.Fatalf("violation report %q does not name sw7.p1 queue 1", msg)
+		}
+	}()
+	sw.CheckConservation()
+	t.Fatal("unbalanced port not reported")
 }

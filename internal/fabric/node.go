@@ -89,6 +89,24 @@ func (s *Switch) Port(i int) *Port { return s.ports[i] }
 // NumPorts returns the number of egress ports.
 func (s *Switch) NumPorts() int { return len(s.ports) }
 
+// CheckConservation checks every egress port's packet conservation law:
+// each packet (and byte) a queue admitted has been transmitted or is
+// still buffered; drops never enter the count, the buffer tallies them
+// apart. A violation panics naming the switch, port and queue.
+// Experiment runners call it at the end of every cell; it costs a few
+// comparisons per queue, so it runs in every build.
+func (s *Switch) CheckConservation() {
+	for i, pt := range s.ports {
+		for qi := range pt.admitted {
+			n, b := int64(pt.buf.Len(qi)), int64(pt.buf.Bytes(qi))
+			if pt.admitted[qi] != pt.TxPackets[qi]+n || pt.admittedBytes[qi] != pt.TxBytes[qi]+b {
+				panic(fmt.Sprintf("fabric: sw%d.p%d queue %d admitted %d packets (%d bytes) != transmitted %d (%d) + buffered %d (%d)",
+					s.ID, i, qi, pt.admitted[qi], pt.admittedBytes[qi], pt.TxPackets[qi], pt.TxBytes[qi], n, b))
+			}
+		}
+	}
+}
+
 // SetRoute installs the routing function mapping packets to egress ports.
 func (s *Switch) SetRoute(route func(p *pkt.Packet) int) { s.route = route }
 

@@ -55,60 +55,71 @@ type PortConfig struct {
 	Marker core.Marker
 	// Classify maps packets to queues; nil defaults to DSCP.
 	Classify Classifier
+	// Shaper is the token-bucket rate limiter between the scheduler and
+	// dequeue marking (§5); nil = none, the link drains at Rate.
+	Shaper *TokenBucket
+}
+
+// Observer receives a port's per-packet pipeline events. Observers only
+// watch: they must not change the packet or the port, so an observed run
+// executes the same events as a bare one. The verdict is the port's
+// scratch — an observer copies what it keeps.
+type Observer interface {
+	// Enqueue sees every admitted packet after enqueue-side marking.
+	Enqueue(now sim.Time, qi int, p *pkt.Packet)
+	// Verdict sees every decisive decision: a CE mark, an AQM rule
+	// firing on a non-ECT packet, or a buffer drop, which arrives as
+	// the admission verdict with Dropped set.
+	Verdict(now sim.Time, qi int, p *pkt.Packet, v *core.Verdict)
+	// Transmit sees every departing packet after dequeue-side marking.
+	Transmit(now sim.Time, qi int, p *pkt.Packet)
 }
 
 // Port is an egress port: a multi-queue shared buffer drained by a
 // scheduler onto a fixed-rate link, with an ECN marker observing both
 // sides. The processing order per packet is the paper's qdisc pipeline
-// (§5): classify → enqueue marking → schedule → dequeue marking →
-// transmit.
+// (§5): classify → enqueue marking → schedule → token-bucket shaper (if
+// configured) → dequeue marking → transmit.
 type Port struct {
 	eng      *sim.Engine
 	buf      *queue.Buffer
 	sch      sched.Scheduler
 	marker   core.Marker
+	shaper   *TokenBucket
 	rate     Rate
 	prop     sim.Time
 	peer     Receiver
 	classify Classifier
 	busy     bool
+	// waiting is set while the head packet waits for shaper tokens.
+	waiting bool
 
-	// deliverFn and txFn are the two link callbacks, created once at
-	// construction so per-packet scheduling goes through AfterArg with no
-	// closure allocation.
+	// deliverFn is the delivery callback, created once at construction
+	// so per-packet scheduling goes through AfterArg with no closure
+	// allocation.
 	deliverFn func(any)
-	txFn      func()
 
 	// TxPackets and TxBytes count transmissions per queue.
 	TxPackets []int64
 	TxBytes   []int64
-	// OnEnqueue, if set, observes every admitted packet after the
-	// enqueue timestamp is stamped and enqueue-side marking has run.
-	OnEnqueue func(now sim.Time, qi int, p *pkt.Packet)
-	// OnTransmit, if set, observes every departing packet after marking.
-	OnTransmit func(now sim.Time, qi int, p *pkt.Packet)
-	// OnDrop, if set, observes every packet rejected by the buffer.
-	OnDrop func(now sim.Time, qi int, p *pkt.Packet)
-	// OnVerdict, if set, observes every decisive marking/dropping
-	// decision (CE applied, buffer overflow, or an AQM rule firing on a
-	// non-ECT packet). The verdict is the port's scratch — consumers
-	// must copy what they keep.
-	OnVerdict func(now sim.Time, qi int, p *pkt.Packet, v *core.Verdict)
+	// admitted and admittedBytes count what the buffer took, per queue,
+	// for Switch.CheckConservation; DigestState leaves them out.
+	admitted      []int64
+	admittedBytes []int64
+
+	// obs is the observer list; empty = off, and each pipeline stage
+	// pays one length check.
+	obs []Observer
 
 	// verdict is the per-port scratch every marker call fills in; one
 	// suffices because each engine (and thus each port) is
 	// single-goroutine. Reusing it keeps attribution allocation-free.
 	verdict core.Verdict
 
-	// stats, when attached via Instrument, receives per-queue counters
-	// and histograms on every enqueue/drop/transmit. Nil = off, and the
-	// hot path pays only a nil check.
-	stats *obs.PortObs
-
 	// prof and the three scopes, when attached via SetProfiler, bracket
-	// the enqueue and transmit stages with the cost profiler's port scope
-	// and each scheduler and marker call with that component's scope.
-	// Nil prof = off, one nil check per bracket.
+	// each entry into the port (Send and the link timer) with the
+	// cost profiler's port scope and each scheduler and marker call with
+	// that component's scope. Nil prof = off, one nil check per bracket.
 	prof      *prof.Profiler
 	scope     *prof.Scope
 	schScope  *prof.Scope
@@ -116,6 +127,8 @@ type Port struct {
 }
 
 // NewPort builds a port from cfg, delivering transmitted packets to peer.
+// A nil peer ends the link at the port: transmissions reach observers
+// only, with no delivery event.
 func NewPort(eng *sim.Engine, cfg PortConfig, peer Receiver) *Port {
 	if cfg.Queues <= 0 {
 		panic(fmt.Sprintf("fabric: port needs at least one queue, got %d", cfg.Queues))
@@ -135,23 +148,32 @@ func NewPort(eng *sim.Engine, cfg PortConfig, peer Receiver) *Port {
 	if c == nil {
 		c = ClassifyByDSCP(cfg.Queues)
 	}
+	// The four per-queue tallies share one backing array: one allocation.
+	q := cfg.Queues
+	tally := make([]int64, 4*q)
 	p := &Port{
-		eng:       eng,
-		buf:       queue.NewBuffer(cfg.Queues, cfg.BufferBytes, cfg.PerQueueBytes),
-		sch:       s,
-		marker:    m,
-		rate:      cfg.Rate,
-		prop:      cfg.PropDelay,
-		peer:      peer,
-		classify:  c,
-		TxPackets: make([]int64, cfg.Queues),
-		TxBytes:   make([]int64, cfg.Queues),
+		eng:           eng,
+		buf:           queue.NewBuffer(cfg.Queues, cfg.BufferBytes, cfg.PerQueueBytes),
+		sch:           s,
+		marker:        m,
+		shaper:        cfg.Shaper,
+		rate:          cfg.Rate,
+		prop:          cfg.PropDelay,
+		peer:          peer,
+		classify:      c,
+		TxPackets:     tally[:q:q],
+		TxBytes:       tally[q : 2*q : 2*q],
+		admitted:      tally[2*q : 3*q : 3*q],
+		admittedBytes: tally[3*q:],
 	}
 	s.Bind(p.buf)
 	p.deliverFn = func(v any) { p.peer.Receive(v.(*pkt.Packet)) }
-	p.txFn = p.transmitNext
 	return p
 }
+
+// Observe appends o to the port's observer list. Attach before traffic
+// flows; observers see each event in attach order.
+func (pt *Port) Observe(o Observer) { pt.obs = append(pt.obs, o) }
 
 // SetProfiler brackets the port's pipeline stages with cost-profiler
 // scopes: the port itself under "port:<label>" (the same label the
@@ -166,72 +188,103 @@ func (pt *Port) SetProfiler(p *prof.Profiler, label string) {
 	pt.markScope = p.NewScope("marker:" + pt.marker.Name())
 }
 
-// Send admits p to the port. It classifies, applies admission control
-// against the shared buffer, stamps the enqueue timestamp, runs enqueue-
-// side marking, and kicks the transmitter if the link is idle.
-func (pt *Port) Send(p *pkt.Packet) {
+// Send admits p to the port and reports whether the buffer took it. It
+// classifies, applies admission control against the shared buffer,
+// stamps the enqueue timestamp, runs enqueue-side marking, and kicks the
+// transmitter if the link is idle and not waiting for shaper tokens.
+func (pt *Port) Send(p *pkt.Packet) bool {
 	if pt.prof != nil {
 		pt.scope.Enter()
 	}
 	now := pt.eng.Now()
 	qi := pt.classify(p)
-	if !pt.buf.Push(qi, p) {
-		if pt.stats != nil {
-			pt.stats.Drop(qi, p.Size)
-		}
-		if pt.OnDrop != nil {
-			pt.OnDrop(now, qi, p)
-		}
-		if pt.OnVerdict != nil {
+	ok := pt.buf.Push(qi, p)
+	if !ok {
+		if len(pt.obs) != 0 {
 			pt.verdict.Reset(core.StageAdmission, pt.buf.Bytes(qi), pt.buf.Used())
 			pt.verdict.Reason = core.ReasonBufferOverflow
 			pt.verdict.Dropped = true
-			pt.OnVerdict(now, qi, p, &pt.verdict)
+			pt.notify(now, qi, p)
 		}
+	} else {
+		pt.admitted[qi]++
+		pt.admittedBytes[qi] += int64(p.Size)
+		p.EnqueuedAt = now
+		if pt.prof != nil {
+			pt.schScope.Enter()
+		}
+		pt.sch.OnEnqueue(now, qi, p)
 		if pt.prof != nil {
 			pt.prof.Exit()
 		}
-		return
+		pt.verdict.Reset(core.StageEnqueue, pt.buf.Bytes(qi), pt.buf.Used())
+		if pt.prof != nil {
+			pt.markScope.Enter()
+		}
+		pt.marker.OnEnqueue(now, qi, p, pt, &pt.verdict)
+		if pt.prof != nil {
+			pt.prof.Exit()
+		}
+		if len(pt.obs) != 0 {
+			pt.notify(now, qi, p)
+		}
+		if !pt.busy && !pt.waiting {
+			pt.transmitNext()
+		}
 	}
-	if pt.stats != nil {
-		pt.stats.Enqueue(qi, p.Size, pt.buf.Bytes(qi))
-	}
-	p.EnqueuedAt = now
-	if pt.prof != nil {
-		pt.schScope.Enter()
-	}
-	pt.sch.OnEnqueue(now, qi, p)
-	if pt.prof != nil {
-		pt.prof.Exit()
-	}
-	pt.verdict.Reset(core.StageEnqueue, pt.buf.Bytes(qi), pt.buf.Used())
-	if pt.prof != nil {
-		pt.markScope.Enter()
-	}
-	pt.marker.OnEnqueue(now, qi, p, pt, &pt.verdict)
 	if pt.prof != nil {
 		pt.prof.Exit()
 	}
-	if pt.OnVerdict != nil && pt.verdict.Decisive() {
-		pt.OnVerdict(now, qi, p, &pt.verdict)
+	return ok
+}
+
+// notify hands one pipeline stage's outcome to every observer: the
+// verdict when it is decisive, then, for the enqueue and dequeue stages,
+// the Enqueue or Transmit event. A shaped port first records the bucket's
+// level in the verdict through Level, which does not refill: a refill
+// here would change the later float rounding of the bucket.
+func (pt *Port) notify(now sim.Time, qi int, p *pkt.Packet) {
+	v := &pt.verdict
+	if pt.shaper != nil {
+		v.TokensBytes = pt.shaper.Level(now)
 	}
-	if pt.OnEnqueue != nil {
-		pt.OnEnqueue(now, qi, p)
+	decisive := v.Decisive()
+	for _, o := range pt.obs {
+		if decisive {
+			o.Verdict(now, qi, p, v)
+		}
+		switch v.Stage {
+		case core.StageEnqueue:
+			o.Enqueue(now, qi, p)
+		case core.StageDequeue:
+			o.Transmit(now, qi, p)
+		case core.StageAdmission:
+			// A drop has only its verdict.
+		}
 	}
-	if !pt.busy {
-		pt.transmitNext()
+}
+
+// linkFree is the port's timer entry: the link finished a serialization
+// or, after a shaper stall, tokens accrued. It is the AfterArg trampoline
+// form — a package-level function plus the *Port as the argument — so
+// scheduling it never allocates a closure. It brackets transmitNext with
+// the port scope, as Send does, so the scope is entered once per entry.
+func linkFree(v any) {
+	pt := v.(*Port)
+	pt.waiting = false
+	if pt.prof != nil {
+		pt.scope.Enter()
 	}
+	pt.transmitNext()
 	if pt.prof != nil {
 		pt.prof.Exit()
 	}
 }
 
-// transmitNext asks the scheduler for the next queue, dequeues, runs
-// dequeue-side marking, and occupies the link for the serialization time.
+// transmitNext asks the scheduler for the next queue, passes its head
+// through the shaper, dequeues, runs dequeue-side marking, and occupies
+// the link for the serialization time. Its callers hold the port scope.
 func (pt *Port) transmitNext() {
-	if pt.prof != nil {
-		pt.scope.Enter()
-	}
 	now := pt.eng.Now()
 	if pt.prof != nil {
 		pt.schScope.Enter()
@@ -242,10 +295,16 @@ func (pt *Port) transmitNext() {
 	}
 	if qi < 0 {
 		pt.busy = false
-		if pt.prof != nil {
-			pt.prof.Exit()
-		}
 		return
+	}
+	if pt.shaper != nil {
+		if ok, wait := pt.shaper.Take(now, pt.buf.Head(qi).Size); !ok {
+			// Not enough tokens: hold the link until they accrue.
+			pt.busy = false
+			pt.waiting = true
+			pt.eng.AfterArg(wait, linkFree, pt)
+			return
+		}
 	}
 	p := pt.buf.Pop(qi)
 	if p == nil {
@@ -271,37 +330,26 @@ func (pt *Port) transmitNext() {
 	if pt.prof != nil {
 		pt.prof.Exit()
 	}
-	if pt.OnVerdict != nil && pt.verdict.Decisive() {
-		pt.OnVerdict(now, qi, p, &pt.verdict)
-	}
 	pt.TxPackets[qi]++
 	pt.TxBytes[qi] += int64(p.Size)
-	if pt.stats != nil {
-		pt.stats.Transmit(qi, p.Size, p.Sojourn(now), p.ECN == pkt.CE)
-		if invariant.Enabled {
-			pt.checkStats(qi)
-		}
-	}
-	if pt.OnTransmit != nil {
-		pt.OnTransmit(now, qi, p)
+	if len(pt.obs) != 0 {
+		pt.notify(now, qi, p)
 	}
 	pt.busy = true
 	txDone := pt.rate.Serialize(p.Size)
-	arrival := txDone + pt.prop
-	pt.eng.AfterArg(arrival, pt.deliverFn, p)
-	pt.eng.After(txDone, pt.txFn)
-	if pt.prof != nil {
-		pt.prof.Exit()
+	if pt.peer != nil {
+		pt.eng.AfterArg(txDone+pt.prop, pt.deliverFn, p)
 	}
+	pt.eng.AfterArg(txDone, linkFree, pt)
 }
 
 // Instrument attaches the standard per-queue stats bundle (enqueue/
 // transmit/drop byte+packet counters, CE mark counter, sojourn and
-// occupancy histograms) to the registry under label. The definitions
-// line up with trace.Tracer: tx counts every transmission (marked or
-// not), mark counts transmissions leaving with CE, drop counts
-// admission rejections — so registry counters and tracer counts
-// reconcile exactly on the same run.
+// occupancy histograms) to the registry under label, as one observer.
+// The definitions line up with trace.Tracer: tx counts every
+// transmission (marked or not), mark counts transmissions leaving with
+// CE, drop counts admission rejections — so registry counters and tracer
+// counts reconcile exactly on the same run.
 func (pt *Port) Instrument(r *obs.Registry, label string) *obs.PortObs {
 	if invariant.Enabled {
 		// The reconciliation identity (enq − tx == buffered) only holds
@@ -309,17 +357,46 @@ func (pt *Port) Instrument(r *obs.Registry, label string) *obs.PortObs {
 		invariant.Checkf(pt.buf.Used() == 0,
 			"fabric: Instrument(%q) on a port already holding %d bytes", label, pt.buf.Used())
 	}
-	pt.stats = obs.NewPortObs(r, label, pt.buf.NumQueues())
-	return pt.stats
+	s := &portStats{pt: pt, stats: obs.NewPortObs(r, label, pt.buf.NumQueues())}
+	pt.Observe(s)
+	return s.stats
 }
 
-// checkStats asserts, after a transmit on queue qi, that the obs
-// counters reconcile with the port's own accounting (invariants builds
-// only): counted enqueued bytes minus transmitted bytes equal the bytes
-// still buffered, counters agree with the port's transmit tallies, and
-// CE marks never exceed transmissions.
-func (pt *Port) checkStats(qi int) {
-	q := &pt.stats.Q[qi]
+// portStats feeds a port's events into its registry bundle. It lives in
+// fabric rather than obs because obs cannot name *core.Verdict (core
+// imports obs).
+type portStats struct {
+	pt    *Port
+	stats *obs.PortObs
+}
+
+// Enqueue records the admission and the queue's occupancy after it.
+func (s *portStats) Enqueue(_ sim.Time, qi int, p *pkt.Packet) {
+	s.stats.Enqueue(qi, p.Size, s.pt.buf.Bytes(qi))
+}
+
+// Verdict records buffer drops; marks are counted at transmit.
+func (s *portStats) Verdict(_ sim.Time, qi int, p *pkt.Packet, v *core.Verdict) {
+	if v.Dropped {
+		s.stats.Drop(qi, p.Size)
+	}
+}
+
+// Transmit records the departure and its sojourn.
+func (s *portStats) Transmit(now sim.Time, qi int, p *pkt.Packet) {
+	s.stats.Transmit(qi, p.Size, p.Sojourn(now), p.ECN == pkt.CE)
+	if invariant.Enabled {
+		s.check(qi)
+	}
+}
+
+// check asserts, after a transmit on queue qi, that the obs counters
+// reconcile with the port's own accounting (invariants builds only):
+// counted enqueued bytes minus transmitted bytes equal the bytes still
+// buffered, counters agree with the port's transmit tallies, and CE marks
+// never exceed transmissions.
+func (s *portStats) check(qi int) {
+	q, pt := &s.stats.Q[qi], s.pt
 	invariant.Checkf(q.TxPackets.Value() == pt.TxPackets[qi],
 		"fabric: obs tx_packets %d != port count %d on queue %d",
 		q.TxPackets.Value(), pt.TxPackets[qi], qi)
@@ -338,7 +415,9 @@ func (pt *Port) checkStats(qi int) {
 // DigestState folds the port's state into a run fingerprint: the link
 // busy flag, per-queue transmit tallies, the buffer occupancy, and — when
 // they expose state — the scheduler's credit counters and the marker's
-// mark tally. Presence flags keep the digest shape fixed.
+// mark tally. Presence flags keep the digest shape fixed. A shaped port
+// also folds its waiting flag and bucket, with no presence flag, so an
+// unshaped port's digest has no shaper bytes at all.
 func (pt *Port) DigestState(h *digest.Hash) {
 	h.WriteBool(pt.busy)
 	h.WriteInt(len(pt.TxPackets))
@@ -359,6 +438,10 @@ func (pt *Port) DigestState(h *digest.Hash) {
 	} else {
 		h.WriteBool(false)
 	}
+	if pt.shaper != nil {
+		h.WriteBool(pt.waiting)
+		pt.shaper.DigestState(h)
+	}
 }
 
 // Buffer exposes the port's buffer for tests and metrics.
@@ -367,9 +450,6 @@ func (pt *Port) Buffer() *queue.Buffer { return pt.buf }
 // Engine exposes the port's event engine, so observers attaching to an
 // already-built port can schedule probes on the right clock.
 func (pt *Port) Engine() *sim.Engine { return pt.eng }
-
-// Scheduler exposes the port's scheduler.
-func (pt *Port) Scheduler() sched.Scheduler { return pt.sch }
 
 // Marker exposes the port's marker.
 func (pt *Port) Marker() core.Marker { return pt.marker }

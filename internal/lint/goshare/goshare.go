@@ -14,7 +14,7 @@
 //  1. a `go` statement that references a single-owner value declared
 //     outside the spawned function (captured, passed, or as receiver);
 //  2. the same for a value whose struct type transitively CONTAINS a
-//     single-owner value — handing a qdisc.Qdisc to a goroutine hands its
+//     single-owner value — handing a fabric.Port to a goroutine hands its
 //     engine over just as surely;
 //  3. a channel send of a single-owner (or containing) value — the value
 //     is gone to whichever goroutine receives;
@@ -125,7 +125,7 @@ func sharedKind(t types.Type) string {
 }
 
 // containerKind reports the single-owner kind a struct type transitively
-// holds in its fields, or "". A *qdisc.Qdisc is as unshareable as the
+// holds in its fields, or "". A *fabric.Port is as unshareable as the
 // *sim.Engine inside it.
 func containerKind(t types.Type) string {
 	return containerKindRec(t, 0, map[types.Type]bool{})

@@ -15,8 +15,8 @@
 // via the call graph's conservative dynamic-call resolution), the timing
 // wheel's cascade path (wheel.place/cascade/drainSpill/detachRun/
 // requeueRun, which relink whole slots mid-fire and must reuse their
-// scratch storage), fabric.Port.Send/transmitNext, and
-// qdisc.Qdisc.Enqueue/dequeue — then
+// scratch storage), and fabric.Port.Send/transmitNext, the one egress
+// pipeline (qdisc.Qdisc is a fabric.Port with a shaper) — then
 // flags the well-known allocation sources inside reachable functions:
 // closures capturing variables, concrete values boxed into interface
 // parameters, append through non-local slices, map iteration, and any fmt
@@ -87,8 +87,6 @@ func isRoot(n *callgraph.Node) bool {
 		return recv == "Engine" && (n.Obj.Name() == "Run" || n.Obj.Name() == "RunUntil")
 	case "tcn/internal/fabric", "fabric":
 		return recv == "Port" && (n.Obj.Name() == "Send" || n.Obj.Name() == "transmitNext")
-	case "tcn/internal/qdisc", "qdisc":
-		return recv == "Qdisc" && (n.Obj.Name() == "Enqueue" || n.Obj.Name() == "dequeue")
 	}
 	return false
 }

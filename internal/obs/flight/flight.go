@@ -6,8 +6,8 @@
 // Three pieces:
 //
 //  1. A sim-clock-driven periodic sampler. Probes (queue depth, buffer
-//     pool occupancy, token-bucket level, instantaneous mark probability,
-//     per-port throughput and mark-rate deltas) are polled on the
+//     pool occupancy, instantaneous mark probability, per-port
+//     throughput and mark-rate deltas) are polled on the
 //     discrete-event engine and recorded into fixed-capacity Series rings
 //     with deterministic downsampling on wrap. Export as CSV or JSON.
 //  2. A per-flow span tracker (span.go) that stitches packet lifecycle

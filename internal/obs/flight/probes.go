@@ -6,19 +6,17 @@ import (
 	"tcn/internal/core"
 	"tcn/internal/fabric"
 	"tcn/internal/pkt"
-	"tcn/internal/qdisc"
 	"tcn/internal/sim"
 )
 
-// Probe attachment for the two pipeline implementations, fabric.Port and
-// qdisc.Qdisc. Series names extend the registry's port convention
-// ("<prefix>.q<i>.<metric>" where per-queue, "<prefix>.<metric>" where
-// per-port) so CSV exports line up with /metrics labels.
+// Probe attachment for fabric.Port. Series names extend the registry's
+// port convention ("<prefix>.q<i>.<metric>" where per-queue,
+// "<prefix>.<metric>" where per-port) so CSV exports line up with
+// /metrics labels.
 //
 // All probes are read-only by construction: they consult queue byte
-// counts, counter values, the shaper's non-mutating Level, and each
-// marker's side-effect-free MarkProb — an instrumented run stays
-// bit-identical to a bare one.
+// counts, counter values, and each marker's side-effect-free MarkProb —
+// an instrumented run stays bit-identical to a bare one.
 
 // AttachPortProbes registers the standard periodic probes on a fabric
 // port under prefix, polled at the recorder's default period:
@@ -61,23 +59,6 @@ func AttachPortProbes(rec *Recorder, prefix string, pt *fabric.Port) {
 	}
 }
 
-// AttachQdiscProbes registers the periodic probes on a software qdisc
-// under prefix: per-queue depth, shared buffer occupancy, and the token
-// bucket level (via the non-mutating Level, so probing cannot change the
-// shaper's floating-point trajectory).
-func AttachQdiscProbes(rec *Recorder, prefix string, q *qdisc.Qdisc) {
-	eng := q.Engine()
-	for i := 0; i < q.NumQueues(); i++ {
-		qi := i
-		rec.Probe(eng, fmt.Sprintf("%s.q%d.depth_bytes", prefix, qi), 0,
-			func(sim.Time) float64 { return float64(q.QueueBytes(qi)) })
-	}
-	rec.Probe(eng, prefix+".buffer_bytes", 0,
-		func(sim.Time) float64 { return float64(q.PortBytes()) })
-	rec.Probe(eng, prefix+".tokens_bytes", 0,
-		func(now sim.Time) float64 { return q.Bucket().Level(now) })
-}
-
 // rateProbe registers a probe, polled at the recorder's default period,
 // that turns a monotonic counter into a per-second rate: each sample is
 // the counter delta over the last period, scaled by unit (8e-9 turns
@@ -94,30 +75,23 @@ func rateProbe(rec *Recorder, eng *sim.Engine, name string, unit float64, counte
 	}})
 }
 
-// AttachPortSpans wires the recorder's flow-span tracker into a fabric
-// port's lifecycle hooks, chaining any hooks already installed (the
-// trace.Tracer pattern) so span tracking composes with tracing.
+// AttachPortSpans feeds a fabric port's packet events into the
+// recorder's flow-span tracker, as one observer on the port.
 func AttachPortSpans(rec *Recorder, pt *fabric.Port) {
-	spans := rec.Spans()
-	prevEnq := pt.OnEnqueue
-	pt.OnEnqueue = func(now sim.Time, qi int, p *pkt.Packet) {
-		if prevEnq != nil {
-			prevEnq(now, qi, p)
-		}
-		spans.Enqueue(now, p)
+	pt.Observe(spanPort{rec.Spans()})
+}
+
+// spanPort is the span tracker's observer on one port.
+type spanPort struct{ spans *SpanTracker }
+
+func (sp spanPort) Enqueue(now sim.Time, _ int, p *pkt.Packet) { sp.spans.Enqueue(now, p) }
+
+func (sp spanPort) Verdict(now sim.Time, _ int, p *pkt.Packet, v *core.Verdict) {
+	if v.Dropped {
+		sp.spans.Drop(now, p)
 	}
-	prevTx := pt.OnTransmit
-	pt.OnTransmit = func(now sim.Time, qi int, p *pkt.Packet) {
-		if prevTx != nil {
-			prevTx(now, qi, p)
-		}
-		spans.Transmit(now, p, p.Sojourn(now), p.ECN == pkt.CE)
-	}
-	prevDrop := pt.OnDrop
-	pt.OnDrop = func(now sim.Time, qi int, p *pkt.Packet) {
-		if prevDrop != nil {
-			prevDrop(now, qi, p)
-		}
-		spans.Drop(now, p)
-	}
+}
+
+func (sp spanPort) Transmit(now sim.Time, _ int, p *pkt.Packet) {
+	sp.spans.Transmit(now, p, p.Sojourn(now), p.ECN == pkt.CE)
 }

@@ -1,8 +1,8 @@
 // Package prof implements the sim-structured cost profiler: it answers
 // "where does a run's cost go?" by attributing executed events, elapsed
 // sim-time, and (optionally) wall-clock self-time to a stack of simulator
-// components — engine → port → qdisc stage → scheduler → marker →
-// transport — keyed by the same labels the ledger and digest layers use.
+// components — engine → port → scheduler → marker → transport — keyed
+// by the same labels the ledger and digest layers use.
 //
 // The profiler has two planes with different determinism contracts:
 //

@@ -14,7 +14,7 @@ import (
 )
 
 func TestTokenBucketBasics(t *testing.T) {
-	tb := NewTokenBucket(fabric.Gbps, 2500)
+	tb := fabric.NewTokenBucket(fabric.Gbps, 2500)
 	// Bucket starts full.
 	if ok, _ := tb.Take(0, 2500); !ok {
 		t.Fatal("full bucket should admit a burst up to depth")
@@ -35,10 +35,10 @@ func TestTokenBucketBasics(t *testing.T) {
 }
 
 func TestTokenBucketCapsAtBurst(t *testing.T) {
-	tb := NewTokenBucket(fabric.Gbps, 2500)
+	tb := fabric.NewTokenBucket(fabric.Gbps, 2500)
 	tb.Take(0, 2500)
 	// A long idle period must not accumulate more than the burst.
-	if got := tb.Tokens(sim.Second); !testutil.Eq(got, 2500) {
+	if got := tb.Level(sim.Second); !testutil.Eq(got, 2500) {
 		t.Fatalf("tokens %v, want capped at 2500", got)
 	}
 }
@@ -49,7 +49,7 @@ func TestPropertyTokenBucketConformance(t *testing.T) {
 	f := func(steps []uint16) bool {
 		const burst = 2500
 		rate := fabric.Gbps
-		tb := NewTokenBucket(rate, burst)
+		tb := fabric.NewTokenBucket(rate, burst)
 		now := sim.Time(0)
 		granted := 0
 		for _, s := range steps {
@@ -188,18 +188,18 @@ func TestQdiscDropsWhenFull(t *testing.T) {
 			accepted++
 		}
 	}
-	if accepted == 20 || q.Drops == 0 {
-		t.Fatalf("accepted %d drops %d, buffer limit not enforced", accepted, q.Drops)
+	if drops := q.Buffer().TotalDrops(); accepted == 20 || drops == 0 {
+		t.Fatalf("accepted %d drops %d, buffer limit not enforced", accepted, drops)
 	}
 	eng.Run()
-	if int(q.Sent) != accepted {
-		t.Fatalf("sent %d, want %d", q.Sent, accepted)
+	if int(q.TxPackets[0]) != accepted {
+		t.Fatalf("sent %d, want %d", q.TxPackets[0], accepted)
 	}
 }
 
 // TestQdiscInstrumentedCounters pins that the registry view agrees with
-// the qdisc's own Sent/Drops fields and records sojourns for every
-// transmission.
+// the qdisc's own transmit and drop tallies and records sojourns for
+// every transmission.
 func TestQdiscInstrumentedCounters(t *testing.T) {
 	eng := sim.NewEngine()
 	q := New(eng, Config{
@@ -215,18 +215,19 @@ func TestQdiscInstrumentedCounters(t *testing.T) {
 		q.Enqueue(&pkt.Packet{Size: 1500, ECN: pkt.ECT0})
 	}
 	eng.Run()
-	if got := r.Counter("qd.q0.tx_packets").Value(); got != q.Sent {
-		t.Fatalf("tx_packets %d, qdisc Sent %d", got, q.Sent)
+	sent := q.TxPackets[0]
+	if got := r.Counter("qd.q0.tx_packets").Value(); got != sent {
+		t.Fatalf("tx_packets %d, qdisc sent %d", got, sent)
 	}
-	if got := r.Counter("qd.q0.drop_packets").Value(); got != q.Drops {
-		t.Fatalf("drop_packets %d, qdisc Drops %d", got, q.Drops)
+	if got, drops := r.Counter("qd.q0.drop_packets").Value(), int64(q.Buffer().TotalDrops()); got != drops {
+		t.Fatalf("drop_packets %d, qdisc drops %d", got, drops)
 	}
 	if got := r.Counter("qd.q0.mark_packets").Value(); got == 0 {
 		t.Fatal("backlogged TCN qdisc recorded no marks")
 	}
 	h := r.Histogram("qd.q0.sojourn_ns")
-	if h.Count() != q.Sent {
-		t.Fatalf("sojourn samples %d, want one per transmission (%d)", h.Count(), q.Sent)
+	if h.Count() != sent {
+		t.Fatalf("sojourn samples %d, want one per transmission (%d)", h.Count(), sent)
 	}
 	if h.Max() == 0 {
 		t.Fatal("a 15KB backlog at 1Gbps must show nonzero sojourns")
@@ -288,7 +289,6 @@ func TestQdiscTokenBucketIdleDoesNotBurstBeyondDepth(t *testing.T) {
 	q := New(eng, Config{
 		Queues:   1,
 		LineRate: fabric.Gbps,
-		Burst:    2500,
 		Transmit: func(now sim.Time, p *pkt.Packet) { times = append(times, now) },
 	})
 	eng.At(100*sim.Millisecond, func() {

@@ -12,7 +12,6 @@ import (
 	"tcn/internal/fabric"
 	"tcn/internal/obs"
 	"tcn/internal/pkt"
-	"tcn/internal/qdisc"
 	"tcn/internal/sim"
 )
 
@@ -315,26 +314,20 @@ func (l *Ledger) WriteReport(w io.Writer) error {
 	return err
 }
 
-// AttachPort hooks the ledger onto a port's verdict stream under label,
-// chaining any hook already installed.
+// AttachPort records a port's verdict stream under label.
 func (l *Ledger) AttachPort(label string, pt *fabric.Port) {
-	prev := pt.OnVerdict
-	pt.OnVerdict = func(now sim.Time, qi int, p *pkt.Packet, v *core.Verdict) {
-		l.Record(now, label, qi, p, v)
-		if prev != nil {
-			prev(now, qi, p, v)
-		}
-	}
+	pt.Observe(&ledgerPort{l: l, label: label})
 }
 
-// AttachQdisc hooks the ledger onto a software qdisc's verdict stream
-// under label, chaining any hook already installed.
-func (l *Ledger) AttachQdisc(label string, q *qdisc.Qdisc) {
-	prev := q.OnVerdict
-	q.OnVerdict = func(now sim.Time, qi int, p *pkt.Packet, v *core.Verdict) {
-		l.Record(now, label, qi, p, v)
-		if prev != nil {
-			prev(now, qi, p, v)
-		}
-	}
+// ledgerPort is the ledger's observer on one labelled port.
+type ledgerPort struct {
+	l     *Ledger
+	label string
+}
+
+func (lp *ledgerPort) Enqueue(sim.Time, int, *pkt.Packet)  {}
+func (lp *ledgerPort) Transmit(sim.Time, int, *pkt.Packet) {}
+
+func (lp *ledgerPort) Verdict(now sim.Time, qi int, p *pkt.Packet, v *core.Verdict) {
+	lp.l.Record(now, lp.label, qi, p, v)
 }

@@ -9,12 +9,11 @@ import (
 	"tcn/internal/core"
 	"tcn/internal/fabric"
 	"tcn/internal/pkt"
-	"tcn/internal/qdisc"
 	"tcn/internal/sim"
 )
 
-// Pipeline records per-packet pipeline-stage spans — time queued, token-
-// bucket stalls, wire occupancy — plus mark/drop instants, and renders
+// Pipeline records per-packet pipeline-stage spans — time queued, wire
+// occupancy — plus mark/drop instants, and renders
 // them as Chrome trace-event JSON loadable in Perfetto or
 // chrome://tracing. Each attached port becomes one process (pid) whose
 // threads (tids) are its queues plus a "wire" track, so the scheduler's
@@ -47,7 +46,6 @@ type pipeKind uint8
 const (
 	pipeQueued pipeKind = iota // span on queue track: enqueue → dequeue
 	pipeWire                   // span on wire track: dequeue → tx done
-	pipeWait                   // span on queue track: token-bucket stall
 	pipeMark                   // instant: CE applied (reason attached)
 	pipeDrop                   // instant: admission drop
 )
@@ -110,80 +108,43 @@ func (pl *Pipeline) addTrack(label string, queues int) int32 {
 // AttachPort records a fabric port's pipeline under label: a "queued"
 // span per transmitted packet (admission to scheduler pick), a "wire"
 // span for its serialization time, and mark/drop instants from the
-// verdict stream. Hooks chain with any already installed.
+// verdict stream.
 func (pl *Pipeline) AttachPort(label string, pt *fabric.Port) {
-	tr := pl.addTrack(label, pt.NumQueues())
-	rate := pt.Rate()
-	prevTx := pt.OnTransmit
-	pt.OnTransmit = func(now sim.Time, qi int, p *pkt.Packet) {
-		pl.record(pipeEvent{track: tr, queue: int32(qi), kind: pipeQueued,
-			start: p.EnqueuedAt, dur: now - p.EnqueuedAt,
-			flow: p.Flow, seq: p.Seq, size: int32(p.Size)})
-		pl.record(pipeEvent{track: tr, queue: int32(qi), kind: pipeWire,
-			start: now, dur: rate.Serialize(p.Size),
-			flow: p.Flow, seq: p.Seq, size: int32(p.Size)})
-		if prevTx != nil {
-			prevTx(now, qi, p)
-		}
-	}
-	prevV := pt.OnVerdict
-	pt.OnVerdict = func(now sim.Time, qi int, p *pkt.Packet, v *core.Verdict) {
-		pl.recordVerdict(tr, now, qi, p, v)
-		if prevV != nil {
-			prevV(now, qi, p, v)
-		}
-	}
+	pt.Observe(&pipePort{pl: pl, tr: pl.addTrack(label, pt.NumQueues()), rate: pt.Rate()})
 }
 
-// AttachQdisc records a software qdisc's pipeline under label, adding
-// "tb-wait" spans for token-bucket stalls between the queued and wire
-// stages.
-func (pl *Pipeline) AttachQdisc(label string, q *qdisc.Qdisc) {
-	tr := pl.addTrack(label, q.NumQueues())
-	rate := fabric.Rate(q.LinkRate())
-	prevTx := q.OnTransmit
-	q.OnTransmit = func(now sim.Time, qi int, p *pkt.Packet) {
-		pl.record(pipeEvent{track: tr, queue: int32(qi), kind: pipeQueued,
-			start: p.EnqueuedAt, dur: now - p.EnqueuedAt,
-			flow: p.Flow, seq: p.Seq, size: int32(p.Size)})
-		pl.record(pipeEvent{track: tr, queue: int32(qi), kind: pipeWire,
-			start: now, dur: rate.Serialize(p.Size),
-			flow: p.Flow, seq: p.Seq, size: int32(p.Size)})
-		if prevTx != nil {
-			prevTx(now, qi, p)
-		}
-	}
-	prevWait := q.OnShaperWait
-	q.OnShaperWait = func(now sim.Time, qi int, wait sim.Time) {
-		pl.record(pipeEvent{track: tr, queue: int32(qi), kind: pipeWait,
-			start: now, dur: wait})
-		if prevWait != nil {
-			prevWait(now, qi, wait)
-		}
-	}
-	prevV := q.OnVerdict
-	q.OnVerdict = func(now sim.Time, qi int, p *pkt.Packet, v *core.Verdict) {
-		pl.recordVerdict(tr, now, qi, p, v)
-		if prevV != nil {
-			prevV(now, qi, p, v)
-		}
-	}
+// pipePort is the pipeline recorder's observer on one port track.
+type pipePort struct {
+	pl   *Pipeline
+	tr   int32
+	rate fabric.Rate
 }
 
-// recordVerdict turns a decisive verdict into a mark or drop instant.
+func (pp *pipePort) Enqueue(sim.Time, int, *pkt.Packet) {}
+
+func (pp *pipePort) Transmit(now sim.Time, qi int, p *pkt.Packet) {
+	pp.pl.record(pipeEvent{track: pp.tr, queue: int32(qi), kind: pipeQueued,
+		start: p.EnqueuedAt, dur: now - p.EnqueuedAt,
+		flow: p.Flow, seq: p.Seq, size: int32(p.Size)})
+	pp.pl.record(pipeEvent{track: pp.tr, queue: int32(qi), kind: pipeWire,
+		start: now, dur: pp.rate.Serialize(p.Size),
+		flow: p.Flow, seq: p.Seq, size: int32(p.Size)})
+}
+
+// Verdict turns a decisive verdict into a mark or drop instant.
 // Threshold crossings that could not mark (ECNIncapable) are ledger
 // material, not timeline instants.
-func (pl *Pipeline) recordVerdict(tr int32, now sim.Time, qi int, p *pkt.Packet, v *core.Verdict) {
+func (pp *pipePort) Verdict(now sim.Time, qi int, p *pkt.Packet, v *core.Verdict) {
+	kind := pipeMark
 	switch {
 	case v.Dropped:
-		pl.record(pipeEvent{track: tr, queue: int32(qi), kind: pipeDrop,
-			reason: v.Reason, start: now,
-			flow: p.Flow, seq: p.Seq, size: int32(p.Size)})
-	case v.Marked:
-		pl.record(pipeEvent{track: tr, queue: int32(qi), kind: pipeMark,
-			reason: v.Reason, start: now,
-			flow: p.Flow, seq: p.Seq, size: int32(p.Size)})
+		kind = pipeDrop
+	case !v.Marked:
+		return
 	}
+	pp.pl.record(pipeEvent{track: pp.tr, queue: int32(qi), kind: kind,
+		reason: v.Reason, start: now,
+		flow: p.Flow, seq: p.Seq, size: int32(p.Size)})
 }
 
 // Chrome trace-event JSON shapes. Field order is fixed by the structs,
@@ -218,7 +179,7 @@ func usec(t sim.Time) float64 { return float64(t) / 1e3 }
 
 // WriteJSON renders the retained events as one Chrome trace-event JSON
 // document: metadata naming each port's process and queue/wire threads,
-// then "queued"/"tb-wait"/"wire" complete spans and "mark"/"drop"
+// then "queued"/"wire" complete spans and "mark"/"drop"
 // instants (named by core.EventKind, matching every other export).
 func (pl *Pipeline) WriteJSON(w io.Writer) error {
 	doc := perfettoDoc{TraceEvents: []perfettoEvent{}, DisplayTimeUnit: "ns"}
@@ -243,7 +204,7 @@ func (pl *Pipeline) WriteJSON(w io.Writer) error {
 		pid := int(e.track) + 1
 		ev := perfettoEvent{Pid: pid, Ts: usec(e.start)}
 		switch e.kind {
-		case pipeQueued, pipeWait, pipeMark, pipeDrop:
+		case pipeQueued, pipeMark, pipeDrop:
 			ev.Tid = int(e.queue) + 1
 		case pipeWire:
 			ev.Tid = 0
@@ -251,8 +212,6 @@ func (pl *Pipeline) WriteJSON(w io.Writer) error {
 		switch e.kind {
 		case pipeQueued:
 			ev.Name, ev.Ph = "queued", "X"
-		case pipeWait:
-			ev.Name, ev.Ph = "tb-wait", "X"
 		case pipeWire:
 			ev.Name, ev.Ph = "wire", "X"
 		case pipeMark:
@@ -264,13 +223,11 @@ func (pl *Pipeline) WriteJSON(w io.Writer) error {
 			d := usec(e.dur)
 			ev.Dur = &d
 		}
-		if e.kind != pipeWait {
-			args := &perfettoArgs{Flow: int32(e.flow), Seq: e.seq, Size: e.size}
-			if e.kind == pipeMark || e.kind == pipeDrop {
-				args.Reason = e.reason.String()
-			}
-			ev.Args = args
+		args := &perfettoArgs{Flow: int32(e.flow), Seq: e.seq, Size: e.size}
+		if e.kind == pipeMark || e.kind == pipeDrop {
+			args.Reason = e.reason.String()
 		}
+		ev.Args = args
 		doc.TraceEvents = append(doc.TraceEvents, ev)
 	}
 	bw := bufio.NewWriter(w)

@@ -111,26 +111,31 @@ func summarize(now sim.Time, kind Kind, where string, qi int, p *pkt.Packet) Eve
 	}
 }
 
-// AttachPort hooks the tracer onto a port's transmit and drop paths under
-// the given label. It chains any hooks already installed. CE-marked
-// transmissions are recorded as Mark events, others as Transmit.
+// AttachPort records a port's transmissions and drops under label.
+// CE-marked transmissions are recorded as Mark events, others as
+// Transmit.
 func (t *Tracer) AttachPort(label string, port *fabric.Port) {
-	prevTx := port.OnTransmit
-	port.OnTransmit = func(now sim.Time, qi int, p *pkt.Packet) {
-		kind := Transmit
-		if p.ECN == pkt.CE {
-			kind = Mark
-		}
-		t.Record(summarize(now, kind, label, qi, p))
-		if prevTx != nil {
-			prevTx(now, qi, p)
-		}
+	port.Observe(&portTrace{t: t, label: label})
+}
+
+// portTrace is the tracer's observer on one labelled port.
+type portTrace struct {
+	t     *Tracer
+	label string
+}
+
+func (pt *portTrace) Enqueue(sim.Time, int, *pkt.Packet) {}
+
+func (pt *portTrace) Verdict(now sim.Time, qi int, p *pkt.Packet, v *core.Verdict) {
+	if v.Dropped {
+		pt.t.Record(summarize(now, Drop, pt.label, qi, p))
 	}
-	prevDrop := port.OnDrop
-	port.OnDrop = func(now sim.Time, qi int, p *pkt.Packet) {
-		t.Record(summarize(now, Drop, label, qi, p))
-		if prevDrop != nil {
-			prevDrop(now, qi, p)
-		}
+}
+
+func (pt *portTrace) Transmit(now sim.Time, qi int, p *pkt.Packet) {
+	kind := Transmit
+	if p.ECN == pkt.CE {
+		kind = Mark
 	}
+	pt.t.Record(summarize(now, kind, pt.label, qi, p))
 }

@@ -1,9 +1,11 @@
 package trace
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
+	"tcn/internal/core"
 	"tcn/internal/fabric"
 	"tcn/internal/pkt"
 	"tcn/internal/sim"
@@ -102,19 +104,59 @@ func TestAttachPortRecordsTxMarksAndDrops(t *testing.T) {
 	}
 }
 
-func TestAttachPortChainsHooks(t *testing.T) {
+// eventLog is a test observer that logs every port event it sees.
+type eventLog []string
+
+func (l *eventLog) Enqueue(_ sim.Time, _ int, p *pkt.Packet) {
+	*l = append(*l, fmt.Sprintf("enq %d", p.Seq))
+}
+
+func (l *eventLog) Verdict(_ sim.Time, _ int, p *pkt.Packet, v *core.Verdict) {
+	*l = append(*l, fmt.Sprintf("verdict %d %v %v dropped=%v", p.Seq, v.Stage, v.Reason, v.Dropped))
+}
+
+func (l *eventLog) Transmit(_ sim.Time, _ int, p *pkt.Packet) {
+	*l = append(*l, fmt.Sprintf("tx %d", p.Seq))
+}
+
+// TestAttachPortFansOut attaches two observers and the tracer to one
+// port: each observer sees every packet's Enqueue → Verdict → Transmit in
+// pipeline order, a buffer drop arrives as the admission verdict, and
+// the tracer records from the same stream.
+func TestAttachPortFansOut(t *testing.T) {
 	eng := sim.NewEngine()
 	sinkHost := fabric.NewHost(eng, 1, 0)
 	sinkHost.Handler = func(*pkt.Packet) {}
-	port := fabric.NewPort(eng, fabric.PortConfig{Rate: fabric.Gbps, Queues: 1}, sinkHost)
-	called := 0
-	port.OnTransmit = func(sim.Time, int, *pkt.Packet) { called++ }
+	port := fabric.NewPort(eng, fabric.PortConfig{
+		Rate: fabric.Gbps, Queues: 1, BufferBytes: 4500,
+		Marker: core.NewTCN(10 * sim.Microsecond),
+	}, sinkHost)
+	var a, b eventLog
+	port.Observe(&a)
 	tr := New(10)
 	tr.AttachPort("p", port)
-	port.Send(&pkt.Packet{Size: 100})
+	port.Observe(&b)
+	// Packet 0 enters service at once; 1–3 fill the buffer and wait
+	// 12, 24, 36 us (> the 10 us threshold); 4 finds it full.
+	for i := 0; i < 5; i++ {
+		port.Send(&pkt.Packet{Size: 1500, ECN: pkt.ECT0, Seq: int64(i)})
+	}
 	eng.Run()
-	if called != 1 || tr.Count(Transmit) != 1 {
-		t.Fatalf("hook chaining broken: called=%d traced=%d", called, tr.Count(Transmit))
+	want := []string{
+		"enq 0", "tx 0", "enq 1", "enq 2", "enq 3",
+		"verdict 4 admission BufferOverflow dropped=true",
+		"verdict 1 dequeue TCNThreshold dropped=false", "tx 1",
+		"verdict 2 dequeue TCNThreshold dropped=false", "tx 2",
+		"verdict 3 dequeue TCNThreshold dropped=false", "tx 3",
+	}
+	for name, got := range map[string]eventLog{"first": a, "second": b} {
+		if strings.Join(got, "; ") != strings.Join(want, "; ") {
+			t.Errorf("%s observer saw\n  %v\nwant\n  %v", name, got, want)
+		}
+	}
+	if tr.Count(Transmit) != 1 || tr.Count(Mark) != 3 || tr.Count(Drop) != 1 {
+		t.Fatalf("tracer tx/mark/drop = %d/%d/%d, want 1/3/1",
+			tr.Count(Transmit), tr.Count(Mark), tr.Count(Drop))
 	}
 }
 

@@ -188,17 +188,24 @@ func TestSlowStartRestartAfterIdle(t *testing.T) {
 	}
 }
 
+// onTransmit is a port observer that calls itself on every departure.
+type onTransmit func(p *pkt.Packet)
+
+func (onTransmit) Enqueue(sim.Time, int, *pkt.Packet)                {}
+func (onTransmit) Verdict(sim.Time, int, *pkt.Packet, *core.Verdict) {}
+func (f onTransmit) Transmit(_ sim.Time, _ int, p *pkt.Packet)       { f(p) }
+
 func TestPIASMessageTagging(t *testing.T) {
 	// Observe actual DSCPs on the wire for a message crossing the PIAS
 	// threshold.
 	eng := sim.NewEngine()
 	net := twoHostStar(eng, nil)
 	seen := map[uint8]int{}
-	net.Switch.Port(1).OnTransmit = func(_ sim.Time, _ int, p *pkt.Packet) {
+	net.Switch.Port(1).Observe(onTransmit(func(p *pkt.Packet) {
 		if p.Kind == pkt.Data {
 			seen[p.DSCP] += p.Len
 		}
-	}
+	}))
 	st := transport.NewStack(eng, transport.Config{CC: transport.DCTCP, RTOMin: 10 * sim.Millisecond}, net.Hosts)
 	c := st.NewConn(0, 1)
 	c.Send(&transport.Message{
@@ -258,11 +265,11 @@ func TestAckDSCPOverride(t *testing.T) {
 	eng := sim.NewEngine()
 	net := twoHostStar(eng, nil)
 	var ackDSCP []uint8
-	net.Switch.Port(0).OnTransmit = func(_ sim.Time, _ int, p *pkt.Packet) {
+	net.Switch.Port(0).Observe(onTransmit(func(p *pkt.Packet) {
 		if p.Kind == pkt.Ack {
 			ackDSCP = append(ackDSCP, p.DSCP)
 		}
-	}
+	}))
 	st := transport.NewStack(eng, transport.Config{
 		CC:      transport.DCTCP,
 		RTOMin:  10 * sim.Millisecond,
