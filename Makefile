@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test race vet lint check bench bench-smoke fuzz-smoke
+.PHONY: build test race vet lint check bench-smoke fuzz-smoke
 
 build:
 	$(GO) build ./...
@@ -24,12 +24,6 @@ lint:
 
 # check is the full local gate: what CI requires before merge.
 check: build vet lint test
-
-# bench captures the perf baseline the PRs track: engine core, packet path,
-# and the parallel sweep at workers=1/2/4, written as JSON for comparison.
-# -diff fails on a packet-path regression against the previous baseline.
-bench:
-	$(GO) run ./cmd/tcnbench -count 3 -o BENCH_pr10.json -diff BENCH_pr9.json -allow-config-drift
 
 # bench-smoke runs every benchmark once — cheap regression/compile coverage
 # for the bench suite itself (CI runs this on every push).

@@ -326,8 +326,6 @@ func BenchmarkPacketPathSteadyState(b *testing.B) {
 		eng.RunUntil(eng.Now() + sim.Millisecond)
 	}
 	b.ReportMetric(float64(eng.Executed)/float64(b.N), "events/op")
-	// events/sec is ROADMAP item 2's ratchet metric; the tcnbench -diff
-	// gate fails on a >25% regression once a baseline records it.
 	if el := b.Elapsed().Seconds(); el > 0 {
 		b.ReportMetric(float64(eng.Executed-start)/el, "events/sec")
 	}
@@ -389,8 +387,7 @@ func BenchmarkPacketPathFingerprinted(b *testing.B) {
 // cost profiler's deterministic plane attached: scope brackets on both
 // switch ports and the transport stack plus the per-event attribution
 // hook. The delta against the bare bench is the whole cost of
-// `tcnsim -profile`; the tcnbench gate holds it within 5% ns/op of the
-// committed baseline, and the AllocsPerRun pin below fails fast if the
+// `tcnsim -profile`; the AllocsPerRun pin below fails fast if the
 // attribution path ever allocates.
 func BenchmarkPacketPathProfiled(b *testing.B) {
 	eng := sim.NewEngine()

@@ -1,474 +1,353 @@
-// Command tcnbench captures a machine-readable performance baseline: it
-// runs the repository's benchmarks through `go test -bench`, parses the
-// standard benchmark output, and writes one JSON document with every
-// reported metric (ns/op, B/op, allocs/op, and the benches' custom
-// metrics). Committed snapshots (BENCH_pr4.json, ...) give future changes a
-// trajectory to compare against.
+// Command tcnbench compares the repository benchmark (perfbench) on two
+// builds: the working tree, uncommitted changes included, and a base git
+// ref. Run it from the repository root:
 //
-// Usage:
+//	go run ./cmd/tcnbench -base REF [-workload NAME] [-pairs 10] [-seconds S]
 //
-//	go run ./cmd/tcnbench [-bench REGEX] [-benchtime 1x] [-count 1] [-o FILE]
-//	    [-diff BASELINE] [-allow-config-drift] [-min-speedup Bench:metric:factor]...
-//	    [-profile-dir DIR]
+// The base side is `git archive REF` in a temporary directory, removed on
+// exit, with the working tree's perfbench/ and BENCHMARK.json copied over
+// it, so both sides run identical benchmark code. Pair i runs
+// `bash perfbench/run.sh --workload W --seed i --seconds S --trace 0` on
+// both sides, base first in odd pairs and head first in even ones. For
+// each workload and each end-to-end metric of BENCHMARK.json it prints
+// both sides' median and quartiles, the pairs head won (ties count for
+// neither side), the exact two-sided sign-test p and a verdict: gain,
+// regression, unresolved or no change (see compare). A plain table goes
+// to stdout, then one JSON line.
 //
-// With -diff, the fresh results are compared against a committed baseline
-// and the run fails on a regression in the steady-state packet path: any
-// growth in allocs/op (the hot path is pinned at zero), more than 25% in
-// ns/op, or more than a 25% drop in events/sec (ROADMAP item 2's ratchet
-// metric; skipped with a note against baselines that predate it). The
-// profiled packet path (BenchmarkPacketPathProfiled) carries its own,
-// tighter gate — 5% ns/op and zero alloc growth — so the cost profiler's
-// attribution plane stays cheap enough to leave on. The
-// best value across -count repeats is compared on both sides (minimum
-// for costs, maximum for throughput), damping single-iteration noise.
-// The comparison itself is embedded in the written JSON as a "diff"
-// object, one speedup line per benchmark, so a committed snapshot records
-// not just its numbers but how they stood against the previous baseline.
-//
-// A baseline recorded under a different -bench regex or -benchtime is not
-// comparable number-for-number; -diff refuses such a baseline unless
-// -allow-config-drift is given (the drift is then recorded in the diff
-// object).
-//
-// Repeatable -min-speedup gates turn expected improvements into CI
-// failures when they evaporate: "-min-speedup BenchmarkEngineThroughput:ns/op:1.4"
-// fails the diff unless the current run is at least 1.4x faster than the
-// baseline on that metric (for /sec metrics the ratio is new/old instead).
-//
-// With -profile-dir DIR, the benchmark child process runs under go test's
-// -cpuprofile/-memprofile and the resulting cpu.pb.gz / mem.pb.gz land in
-// DIR, attaching a wall-clock profile to the captured baseline. go test
-// rejects -cpuprofile across multiple packages, so the option narrows
-// -pkgs to the root suite unless the caller already chose one package.
-// (For sim-structured cost profiles keyed to component scopes, use
-// `tcnsim -profile` instead — see EXPERIMENTS.md "Profiling a run".)
-//
-// The default selection runs the perf-critical benches — the engine core,
-// the timing-wheel microbenches, the steady-state packet path (bare and
-// profiler-attached), and the parallel sweep at workers=1..4 — rather
-// than every figure reproduction, so a baseline capture stays in the
-// minutes range.
+// The exit status is 1 on a regression, or when a run exits nonzero,
+// prints no result, reports correct: false or, on the head side, fails a
+// larger share of its flows than the base run of its pair; 2 on a usage
+// or build error; 0 otherwise.
 package main
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"os/exec"
-	"path/filepath"
-	"runtime"
+	"os/signal"
+	"sort"
 	"strconv"
 	"strings"
+	"text/tabwriter"
 )
 
-// Result is one benchmark line: its name (CPU suffix stripped), iteration
-// count, the benchtime it ran under, and every "value unit" metric pair
-// that followed.
-type Result struct {
-	Name       string             `json:"name"`
-	Iterations int64              `json:"iterations"`
-	BenchTime  string             `json:"benchtime,omitempty"`
-	Metrics    map[string]float64 `json:"metrics"`
+// metricDef is one end-to-end metric of BENCHMARK.json.
+type metricDef struct {
+	Name   string  `json:"name"`
+	Unit   string  `json:"unit"`
+	Better string  `json:"better"` // "lower" or "higher"
+	Bound  float64 `json:"bound"`  // allowed worsening, as a fraction of base's median
 }
 
-// Speedup is one benchmark-vs-baseline comparison line. Speedup > 1 means
-// the current run improved: old/new for cost metrics (ns/op), new/old for
-// rate metrics (events/sec).
-type Speedup struct {
-	Name    string  `json:"name"`
-	Metric  string  `json:"metric"`
-	Old     float64 `json:"old"`
-	New     float64 `json:"new"`
-	Speedup float64 `json:"speedup"`
+// benchmark is the part of BENCHMARK.json the driver reads.
+type benchmark struct {
+	RunSeconds int `json:"run_seconds"`
+	Workloads  []struct {
+		Name string `json:"name"`
+	} `json:"workloads"`
+	EndToEnd []metricDef `json:"end_to_end"`
 }
 
-// DiffReport is the embedded record of a -diff comparison.
-type DiffReport struct {
-	Baseline    string    `json:"baseline"`
-	ConfigDrift bool      `json:"config_drift,omitempty"`
-	Speedups    []Speedup `json:"speedups"`
-	GateError   string    `json:"gate_error,omitempty"`
-}
-
-// Baseline is the document tcnbench writes.
-type Baseline struct {
-	GoVersion string      `json:"go_version"`
-	GOOS      string      `json:"goos"`
-	GOARCH    string      `json:"goarch"`
-	NumCPU    int         `json:"num_cpu"`
-	Bench     string      `json:"bench_regex"`
-	BenchTime string      `json:"benchtime"`
-	Results   []Result    `json:"results"`
-	Diff      *DiffReport `json:"diff,omitempty"`
-}
-
-// minGate is one parsed -min-speedup requirement.
-type minGate struct {
-	name   string
-	metric string
-	factor float64
-}
-
-// minGates collects repeatable -min-speedup flags.
-type minGates []minGate
-
-func (m *minGates) String() string { return fmt.Sprintf("%v", []minGate(*m)) }
-
-func (m *minGates) Set(s string) error {
-	parts := strings.SplitN(s, ":", 3)
-	if len(parts) != 3 {
-		return fmt.Errorf("want Bench:metric:factor, got %q", s)
-	}
-	f, err := strconv.ParseFloat(parts[2], 64)
-	if err != nil || f <= 0 {
-		return fmt.Errorf("bad factor in %q", s)
-	}
-	*m = append(*m, minGate{parts[0], parts[1], f})
-	return nil
-}
-
-func main() {
-	var gates minGates
-	var (
-		benchRe = flag.String("bench",
-			"BenchmarkEngine|BenchmarkWheel|BenchmarkSweepParallel|BenchmarkPacketPathSteadyState|BenchmarkPacketPathProfiled|BenchmarkFig6IsolationDWRR|BenchmarkPerfCampaignRecord|BenchmarkTDigestAdd",
-			"benchmark selection regex passed to go test")
-		benchTime  = flag.String("benchtime", "1x", "value for -benchtime")
-		count      = flag.Int("count", 1, "value for -count")
-		out        = flag.String("o", "-", "output file ('-' = stdout)")
-		pkgs       = flag.String("pkgs", "./...", "packages to bench")
-		diffBase   = flag.String("diff", "", "baseline JSON to diff against; exits nonzero on a packet-path regression")
-		allowDrift = flag.Bool("allow-config-drift", false,
-			"permit -diff against a baseline recorded with a different bench regex or benchtime")
-	)
-	flag.Var(&gates, "min-speedup",
-		"repeatable Bench:metric:factor gate; the diff fails unless the current run beats the baseline by the factor")
-	profileDir := flag.String("profile-dir", "",
-		"directory for go test -cpuprofile/-memprofile of the bench run (forces -pkgs to a single package)")
-	flag.Parse()
-
-	args := []string{"test", "-run", "^$",
-		"-bench", *benchRe, "-benchtime", *benchTime,
-		"-count", strconv.Itoa(*count), "-benchmem"}
-	if *profileDir != "" {
-		if err := os.MkdirAll(*profileDir, 0o755); err != nil {
-			fmt.Fprintf(os.Stderr, "tcnbench: %v\n", err)
-			os.Exit(1)
-		}
-		// go test rejects -cpuprofile with more than one package, so a
-		// profiled capture is pinned to the root bench suite unless the
-		// caller already narrowed -pkgs themselves.
-		if *pkgs == "./..." {
-			*pkgs = "."
-			fmt.Fprintln(os.Stderr, "tcnbench: -profile-dir forces -pkgs=. (go test rejects -cpuprofile across packages)")
-		}
-		args = append(args,
-			"-cpuprofile", filepath.Join(*profileDir, "cpu.pb.gz"),
-			"-memprofile", filepath.Join(*profileDir, "mem.pb.gz"))
-	}
-	args = append(args, *pkgs)
-	cmd := exec.Command("go", args...)
-	cmd.Stderr = os.Stderr
-	raw, err := cmd.Output()
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "tcnbench: go test: %v\n", err)
-		os.Exit(1)
-	}
-
-	base := Baseline{
-		GoVersion: runtime.Version(),
-		GOOS:      runtime.GOOS,
-		GOARCH:    runtime.GOARCH,
-		NumCPU:    runtime.NumCPU(),
-		Bench:     *benchRe,
-		BenchTime: *benchTime,
-		Results:   parseBench(raw, *benchTime),
-	}
-
-	// Diff before writing so the comparison is part of the document.
-	var diffErr error
-	if *diffBase != "" {
-		old, err := loadBaseline(*diffBase)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "tcnbench: %v\n", err)
-			os.Exit(1)
-		}
-		drift := old.Bench != base.Bench || old.BenchTime != base.BenchTime
-		if drift && !*allowDrift {
-			fmt.Fprintf(os.Stderr,
-				"tcnbench: baseline %s was recorded with bench=%q benchtime=%q, this run used bench=%q benchtime=%q;\n"+
-					"  numbers are not comparable — rerun with matching flags or pass -allow-config-drift\n",
-				*diffBase, old.Bench, old.BenchTime, base.Bench, base.BenchTime)
-			os.Exit(1)
-		}
-		rep := &DiffReport{Baseline: *diffBase, ConfigDrift: drift}
-		diffErr = diffBaselines(os.Stderr, old, base, gates, rep)
-		if diffErr != nil {
-			rep.GateError = diffErr.Error()
-		}
-		base.Diff = rep
-	}
-
-	enc, err := json.MarshalIndent(base, "", "  ")
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "tcnbench: %v\n", err)
-		os.Exit(1)
-	}
-	enc = append(enc, '\n')
-	if *out == "-" {
-		os.Stdout.Write(enc)
-	} else {
-		if err := os.WriteFile(*out, enc, 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "tcnbench: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "tcnbench: wrote %d results to %s\n", len(base.Results), *out)
-	}
-	if diffErr != nil {
-		fmt.Fprintf(os.Stderr, "tcnbench: REGRESSION: %v\n", diffErr)
-		os.Exit(1)
-	}
-}
-
-// gateBench is the benchmark the -diff gate pins: the steady-state packet
-// path, whose zero-allocation property every observability layer (stats,
-// tracer, ledger, pipeline) is required to preserve.
-const gateBench = "BenchmarkPacketPathSteadyState"
-
-// gateTolerance is the allowed relative ns/op growth before -diff fails.
-// allocs/op gets no tolerance: the baseline is zero and must stay zero.
-const gateTolerance = 0.25
-
-// isoGateBench is the secondary gate: the whole-experiment allocation
-// count of the figure-6 isolation run. It is not zero (setup allocates),
-// so it gets the same relative tolerance as ns/op rather than the strict
-// never-grow rule of the packet-path gate; baselines that predate the
-// metric skip with a note.
-const isoGateBench = "BenchmarkFig6IsolationDWRR"
-
-// profGateBench is the cost-profiler gate: the steady-state packet path
-// with the deterministic attribution plane attached. Its tolerance is far
-// tighter than the main gate's because the bench exists to prove the
-// profiler stays cheap enough to leave on — if attribution cost creeps,
-// this trips long before the bare path would. allocs/op follows the same
-// never-grow rule as the bare packet path (the baseline is zero).
-// Baselines that predate the profiler skip with a note.
-const profGateBench = "BenchmarkPacketPathProfiled"
-
-// profGateTolerance is the allowed relative ns/op growth of profGateBench.
-const profGateTolerance = 0.05
-
-// loadBaseline reads a committed tcnbench JSON document.
-func loadBaseline(path string) (Baseline, error) {
-	var b Baseline
-	raw, err := os.ReadFile(path)
+func loadBenchmark(path string) (benchmark, error) {
+	var b benchmark
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return b, err
 	}
-	if err := json.Unmarshal(raw, &b); err != nil {
-		return b, fmt.Errorf("parsing %s: %w", path, err)
+	if err := json.Unmarshal(data, &b); err != nil {
+		return b, fmt.Errorf("%s: %w", path, err)
+	}
+	if b.RunSeconds < 1 || len(b.Workloads) == 0 || len(b.EndToEnd) == 0 {
+		return b, fmt.Errorf("%s: want run_seconds of at least 1, workloads and end_to_end metrics", path)
+	}
+	for _, m := range b.EndToEnd {
+		if (m.Better != "lower" && m.Better != "higher") || !(m.Bound > 0) {
+			return b, fmt.Errorf("%s: metric %q: want better lower or higher and a positive bound", path, m.Name)
+		}
 	}
 	return b, nil
 }
 
-// bestMetric returns the minimum value of one metric across every repeat
-// of a benchmark (with -count N a name appears N times). Minimum, not
-// mean: for ns/op the best repeat is the least noise-contaminated, and
-// for allocs/op the repeats agree anyway.
-func bestMetric(b Baseline, name, metric string) (float64, bool) {
-	best, found := 0.0, false
-	for _, r := range b.Results {
-		if r.Name != name {
-			continue
-		}
-		v, ok := r.Metrics[metric]
-		if !ok {
-			continue
-		}
-		if !found || v < best {
-			best, found = v, true
-		}
+// parseResult reads the result line perfbench prints last: one value per
+// end-to-end metric, in BENCHMARK.json order, and the share of flows
+// that failed.
+func parseResult(stdout []byte, defs []metricDef) (values []float64, failedShare float64, err error) {
+	out := strings.TrimSpace(string(stdout))
+	last := out[strings.LastIndexByte(out, '\n')+1:]
+	var r struct {
+		Correct   *bool `json:"correct"`
+		Attempted int64 `json:"attempted"`
+		Failed    int64 `json:"failed"`
+		Metrics   map[string]struct {
+			Value *float64 `json:"value"`
+		} `json:"metrics"`
 	}
-	return best, found
+	if err := json.Unmarshal([]byte(last), &r); err != nil || r.Correct == nil {
+		return nil, 0, fmt.Errorf("last line is not a result: %q", last)
+	}
+	if !*r.Correct {
+		return nil, 0, fmt.Errorf("correct: false (%d of %d flows failed)", r.Failed, r.Attempted)
+	}
+	for _, d := range defs {
+		v := r.Metrics[d.Name].Value
+		if v == nil {
+			return nil, 0, fmt.Errorf("result has no metric %s", d.Name)
+		}
+		values = append(values, *v)
+	}
+	return values, float64(r.Failed) / float64(max(r.Attempted, 1)), nil
 }
 
-// peakMetric is bestMetric's higher-is-better twin: the maximum value of
-// one metric across repeats, for throughput numbers like events/sec where
-// the best repeat is the one least slowed by scheduling noise.
-func peakMetric(b Baseline, name, metric string) (float64, bool) {
-	best, found := 0.0, false
-	for _, r := range b.Results {
-		if r.Name != name {
-			continue
-		}
-		v, ok := r.Metrics[metric]
-		if !ok {
-			continue
-		}
-		if !found || v > best {
-			best, found = v, true
-		}
-	}
-	return best, found
+// runner runs the benchmark once from a side's root and returns its
+// stdout. Tests substitute a fake.
+type runner func(root, workload string, seed, seconds int) ([]byte, error)
+
+func runBench(root, workload string, seed, seconds int) ([]byte, error) {
+	cmd := exec.Command("bash", "perfbench/run.sh", "--workload", workload,
+		"--seed", strconv.Itoa(seed), "--seconds", strconv.Itoa(seconds), "--trace", "0")
+	cmd.Dir = root
+	// run.sh resolves a relative CARGO_TARGET_DIR against the side's root,
+	// so each side builds into its own tree whatever the caller set.
+	cmd.Env = append(os.Environ(), "CARGO_TARGET_DIR=.bench_build")
+	cmd.Stderr = os.Stderr
+	return cmd.Output()
 }
 
-// rateMetric reports whether a metric is higher-is-better (a rate like
-// events/sec) rather than lower-is-better (a cost like ns/op).
-func rateMetric(metric string) bool { return strings.HasSuffix(metric, "/sec") }
+var sides = [2]string{"base", "head"}
 
-// compareMetric returns the baseline value, current value, and speedup
-// factor (>1 = improvement) for one benchmark metric, honoring the
-// metric's direction.
-func compareMetric(old, cur Baseline, name, metric string) (oldV, curV, speedup float64, ok bool) {
-	if rateMetric(metric) {
-		oldV, okO := peakMetric(old, name, metric)
-		curV, okC := peakMetric(cur, name, metric)
-		if !okO || !okC || oldV == 0 { //tcnlint:floatexact guarding division by an exactly-zero baseline
-			return 0, 0, 0, false
-		}
-		return oldV, curV, curV / oldV, true
-	}
-	oldV, okO := bestMetric(old, name, metric)
-	curV, okC := bestMetric(cur, name, metric)
-	if !okO || !okC || curV == 0 { //tcnlint:floatexact guarding division by an exactly-zero current value
-		return 0, 0, 0, false
-	}
-	return oldV, curV, oldV / curV, true
-}
-
-// diffBaselines prints an ns/op (and events/sec) comparison for every
-// benchmark present on both sides, fills rep.Speedups, and returns an
-// error when the gate benchmark regressed or a -min-speedup requirement
-// is not met.
-func diffBaselines(w io.Writer, old, cur Baseline, gates minGates, rep *DiffReport) error {
-	fmt.Fprintf(w, "tcnbench diff vs %s (old %s, new %s):\n", rep.Baseline, old.GoVersion, cur.GoVersion)
-	seen := map[string]bool{}
-	for _, r := range cur.Results {
-		if seen[r.Name] {
-			continue
-		}
-		seen[r.Name] = true
-		for _, metric := range []string{"ns/op", "events/sec"} {
-			oldV, curV, speedup, ok := compareMetric(old, cur, r.Name, metric)
-			if !ok {
-				continue
+// runPairs runs n pairs of workload from roots[0], the base, and
+// roots[1], the head. values[k][m][i-1] is metric m of side k's run of
+// pair i.
+func runPairs(run runner, roots [2]string, workload string, defs []metricDef, n, seconds int) (values [2][][]float64, err error) {
+	values = [2][][]float64{make([][]float64, len(defs)), make([][]float64, len(defs))}
+	for i := 1; i <= n; i++ {
+		var failed [2]float64
+		for _, k := range [2]int{1 - i%2, i % 2} { // odd pairs run base first
+			fmt.Fprintf(os.Stderr, "tcnbench: %s pair %d/%d, %s side\n", workload, i, n, sides[k])
+			out, err := run(roots[k], workload, i, seconds)
+			var vs []float64
+			if err == nil {
+				vs, failed[k], err = parseResult(out, defs)
 			}
-			rep.Speedups = append(rep.Speedups, Speedup{
-				Name: r.Name, Metric: metric, Old: oldV, New: curV, Speedup: speedup,
-			})
-			fmt.Fprintf(w, "  %-44s %-10s %14.0f -> %14.0f  (%.2fx)\n",
-				r.Name, metric, oldV, curV, speedup)
-		}
-	}
-	oldNs, okO := bestMetric(old, gateBench, "ns/op")
-	curNs, okC := bestMetric(cur, gateBench, "ns/op")
-	if !okO {
-		return fmt.Errorf("%s missing from baseline", gateBench)
-	}
-	if !okC {
-		return fmt.Errorf("%s missing from current run", gateBench)
-	}
-	oldAllocs, _ := bestMetric(old, gateBench, "allocs/op")
-	curAllocs, okA := bestMetric(cur, gateBench, "allocs/op")
-	if okA && curAllocs > oldAllocs {
-		return fmt.Errorf("%s allocs/op grew %v -> %v (hot path must stay zero-alloc)",
-			gateBench, oldAllocs, curAllocs)
-	}
-	if oldNs > 0 && curNs > oldNs*(1+gateTolerance) {
-		return fmt.Errorf("%s ns/op grew %.0f -> %.0f (+%.1f%%, tolerance %.0f%%)",
-			gateBench, oldNs, curNs, 100*(curNs-oldNs)/oldNs, 100*gateTolerance)
-	}
-	oldEv, okOE := peakMetric(old, gateBench, "events/sec")
-	curEv, okCE := peakMetric(cur, gateBench, "events/sec")
-	switch {
-	case !okOE:
-		fmt.Fprintf(w, "  note: baseline has no events/sec for %s (predates the metric); gate skipped this round\n", gateBench)
-	case !okCE:
-		return fmt.Errorf("%s stopped reporting events/sec (baseline had %.0f)", gateBench, oldEv)
-	case curEv < oldEv*(1-gateTolerance):
-		return fmt.Errorf("%s events/sec fell %.0f -> %.0f (%.1f%%, tolerance %.0f%%)",
-			gateBench, oldEv, curEv, 100*(curEv-oldEv)/oldEv, 100*gateTolerance)
-	}
-	oldIso, okOI := bestMetric(old, isoGateBench, "allocs/op")
-	curIso, okCI := bestMetric(cur, isoGateBench, "allocs/op")
-	switch {
-	case !okOI:
-		fmt.Fprintf(w, "  note: baseline has no allocs/op for %s (predates the gate); gate skipped this round\n", isoGateBench)
-	case !okCI:
-		return fmt.Errorf("%s stopped reporting allocs/op (baseline had %v)", isoGateBench, oldIso)
-	case oldIso > 0 && curIso > oldIso*(1+gateTolerance):
-		return fmt.Errorf("%s allocs/op grew %v -> %v (+%.1f%%, tolerance %.0f%%)",
-			isoGateBench, oldIso, curIso, 100*(curIso-oldIso)/oldIso, 100*gateTolerance)
-	}
-	oldProf, okOP := bestMetric(old, profGateBench, "ns/op")
-	curProf, okCP := bestMetric(cur, profGateBench, "ns/op")
-	switch {
-	case !okOP:
-		fmt.Fprintf(w, "  note: baseline has no ns/op for %s (predates the profiler); gate skipped this round\n", profGateBench)
-	case !okCP:
-		return fmt.Errorf("%s missing from current run (baseline had %.0f ns/op)", profGateBench, oldProf)
-	case oldProf > 0 && curProf > oldProf*(1+profGateTolerance):
-		return fmt.Errorf("%s ns/op grew %.0f -> %.0f (+%.1f%%, tolerance %.0f%%; attribution must stay cheap enough to leave on)",
-			profGateBench, oldProf, curProf, 100*(curProf-oldProf)/oldProf, 100*profGateTolerance)
-	}
-	if okOP && okCP {
-		oldPA, _ := bestMetric(old, profGateBench, "allocs/op")
-		curPA, okPA := bestMetric(cur, profGateBench, "allocs/op")
-		if okPA && curPA > oldPA {
-			return fmt.Errorf("%s allocs/op grew %v -> %v (profiled hot path must stay zero-alloc)",
-				profGateBench, oldPA, curPA)
-		}
-	}
-	for _, g := range gates {
-		oldV, curV, speedup, ok := compareMetric(old, cur, g.name, g.metric)
-		if !ok {
-			return fmt.Errorf("min-speedup gate %s:%s: metric missing on one side", g.name, g.metric)
-		}
-		if speedup < g.factor {
-			return fmt.Errorf("min-speedup gate %s:%s: %.0f -> %.0f is %.2fx, want >= %.2fx",
-				g.name, g.metric, oldV, curV, speedup, g.factor)
-		}
-		fmt.Fprintf(w, "  min-speedup %s:%s ok: %.2fx >= %.2fx\n", g.name, g.metric, speedup, g.factor)
-	}
-	fmt.Fprintf(w, "  gate %s ok: allocs/op %v -> %v, ns/op and events/sec within %.0f%%\n",
-		gateBench, oldAllocs, curAllocs, 100*gateTolerance)
-	return nil
-}
-
-// parseBench extracts benchmark lines from `go test -bench` output. Each
-// line is "BenchmarkName[-P] <iters> <value> <unit> [<value> <unit>]...";
-// everything else (headers, PASS, ok) is ignored.
-func parseBench(raw []byte, benchTime string) []Result {
-	var out []Result
-	sc := bufio.NewScanner(bytes.NewReader(raw))
-	for sc.Scan() {
-		fields := strings.Fields(sc.Text())
-		if len(fields) < 4 || !strings.HasPrefix(fields[0], "Benchmark") {
-			continue
-		}
-		iters, err := strconv.ParseInt(fields[1], 10, 64)
-		if err != nil {
-			continue
-		}
-		name := fields[0]
-		if i := strings.LastIndex(name, "-"); i > 0 {
-			if _, err := strconv.Atoi(name[i+1:]); err == nil {
-				name = name[:i]
-			}
-		}
-		r := Result{Name: name, Iterations: iters, BenchTime: benchTime, Metrics: map[string]float64{}}
-		for i := 2; i+1 < len(fields); i += 2 {
-			v, err := strconv.ParseFloat(fields[i], 64)
 			if err != nil {
-				continue
+				return values, fmt.Errorf("%s side, pair %d, %s: %w", sides[k], i, workload, err)
 			}
-			r.Metrics[fields[i+1]] = v
+			for m, v := range vs {
+				values[k][m] = append(values[k][m], v)
+			}
 		}
-		out = append(out, r)
+		if failed[1] > failed[0] {
+			return values, fmt.Errorf("%s side, pair %d, %s: failed share %.4g is above base's %.4g",
+				sides[1], i, workload, failed[1], failed[0])
+		}
 	}
-	return out
+	return values, nil
+}
+
+// quartiles summarizes one side's runs of a metric.
+type quartiles struct {
+	Q1     float64 `json:"q1"`
+	Median float64 `json:"median"`
+	Q3     float64 `json:"q3"`
+}
+
+// summarize returns the quartiles of xs, interpolating linearly between
+// order statistics.
+func summarize(xs []float64) quartiles {
+	s := append([]float64(nil), xs...)
+	sort.Float64s(s)
+	at := func(p float64) float64 {
+		h := p * float64(len(s)-1)
+		i := int(h)
+		if i+1 == len(s) {
+			return s[i]
+		}
+		return s[i] + (h-float64(i))*(s[i+1]-s[i])
+	}
+	return quartiles{Q1: at(0.25), Median: at(0.5), Q3: at(0.75)}
+}
+
+// beats reports whether a is strictly better than b.
+func beats(a, b float64, better string) bool {
+	if better == "higher" {
+		return a > b
+	}
+	return a < b
+}
+
+// signTest returns the exact two-sided sign-test p of wins against
+// losses: twice the binomial(n, 1/2) tail at the smaller count, capped
+// at 1.
+func signTest(wins, losses int) float64 {
+	n, k := wins+losses, min(wins, losses)
+	tail, c := 0.0, 1.0 // c = C(n, i)
+	for i := 0; i <= k; i++ {
+		tail += c
+		c = c * float64(n-i) / float64(i+1)
+	}
+	return math.Min(1, 2*tail/math.Exp2(float64(n)))
+}
+
+// comparison is one workload × metric row of the report.
+type comparison struct {
+	Workload string    `json:"workload"`
+	Metric   string    `json:"metric"`
+	Unit     string    `json:"unit"`
+	Base     quartiles `json:"base"`
+	Head     quartiles `json:"head"`
+	Wins     int       `json:"wins"`
+	Losses   int       `json:"losses"`
+	P        float64   `json:"p"`
+	Verdict  string    `json:"verdict"`
+}
+
+// compare applies the decision rule to paired runs of one metric, where
+// base[i] and head[i] ran the same seed:
+//
+//	gain        head wins at least 0.9·N pairs and its median is better
+//	            by more than base's interquartile range
+//	regression  head's median is worse than base's by more than the
+//	            bound × base's median, and head loses at least 0.9·N pairs
+//	unresolved  worse by more than the bound without that loss rate, or
+//	            base's interquartile range wider than the bound, unless
+//	            every head run beats every base run
+//	no change   anything else
+func compare(workload string, d metricDef, base, head []float64) comparison {
+	c := comparison{Workload: workload, Metric: d.Name, Unit: d.Unit,
+		Base: summarize(base), Head: summarize(head)}
+	allBeat := true
+	for i, h := range head {
+		if beats(h, base[i], d.Better) {
+			c.Wins++
+		} else if beats(base[i], h, d.Better) {
+			c.Losses++
+		}
+		for _, b := range base {
+			allBeat = allBeat && beats(h, b, d.Better)
+		}
+	}
+	c.P = signTest(c.Wins, c.Losses)
+
+	most := 0.9 * float64(len(base))
+	iqr := c.Base.Q3 - c.Base.Q1
+	bound := d.Bound * math.Abs(c.Base.Median)
+	worse := c.Head.Median - c.Base.Median
+	if d.Better == "higher" {
+		worse = -worse
+	}
+	switch {
+	case float64(c.Wins) >= most && -worse > iqr:
+		c.Verdict = "gain"
+	case worse > bound && float64(c.Losses) >= most:
+		c.Verdict = "regression"
+	case (worse > bound || iqr > bound) && !allBeat:
+		c.Verdict = "unresolved"
+	default:
+		c.Verdict = "no change"
+	}
+	return c
+}
+
+// report prints the table and the JSON line, and whether any row is a
+// regression.
+func report(w io.Writer, base string, pairs, seconds int, rows []comparison) bool {
+	tw := tabwriter.NewWriter(w, 0, 0, 2, ' ', 0)
+	fmt.Fprintln(tw, "workload\tmetric\tbase median [q1, q3]\thead median [q1, q3]\thead wins\tsign p\tverdict")
+	regression := false
+	for _, c := range rows {
+		fmt.Fprintf(tw, "%s\t%s\t%.4g [%.4g, %.4g] %s\t%.4g [%.4g, %.4g] %s\t%d/%d\t%.3g\t%s\n",
+			c.Workload, c.Metric, c.Base.Median, c.Base.Q1, c.Base.Q3, c.Unit,
+			c.Head.Median, c.Head.Q1, c.Head.Q3, c.Unit, c.Wins, pairs, c.P, c.Verdict)
+		regression = regression || c.Verdict == "regression"
+	}
+	tw.Flush()
+	line, _ := json.Marshal(map[string]any{ // plain values only; Marshal cannot fail
+		"base": base, "pairs": pairs, "seconds": seconds,
+		"comparisons": rows, "regression": regression,
+	})
+	fmt.Fprintln(w, string(line))
+	return regression
+}
+
+// prepare writes ref $1's tree into $2, copies the working tree's
+// benchmark over it and builds the benchmark on both sides.
+const prepare = `set -euo pipefail
+git archive --format=tar "$1" | tar -x -C "$2"
+rm -rf "$2/perfbench"
+cp -R perfbench BENCHMARK.json "$2"
+go -C perfbench build -o /dev/null .
+go -C "$2/perfbench" build -o /dev/null .`
+
+func main() {
+	os.Exit(compareBuilds())
+}
+
+func compareBuilds() int {
+	base := flag.String("base", "", "git ref to compare the working tree against (required)")
+	only := flag.String("workload", "", "run only this workload of BENCHMARK.json (default: every workload)")
+	pairs := flag.Int("pairs", 10, "pairs of runs per workload")
+	seconds := flag.Int("seconds", 0, "--seconds of each run (default: BENCHMARK.json's run_seconds)")
+	flag.Parse()
+	fail := func(code int, err error) int {
+		fmt.Fprintln(os.Stderr, "tcnbench:", err)
+		return code
+	}
+	if *base == "" || *pairs < 1 || *seconds < 0 || flag.NArg() > 0 {
+		flag.Usage()
+		return 2
+	}
+	bench, err := loadBenchmark("BENCHMARK.json")
+	if err != nil {
+		return fail(2, fmt.Errorf("run from the repository root: %w", err))
+	}
+	if *seconds == 0 {
+		*seconds = bench.RunSeconds
+	}
+	var workloads []string
+	for _, w := range bench.Workloads {
+		if *only == "" || *only == w.Name {
+			workloads = append(workloads, w.Name)
+		}
+	}
+	if len(workloads) == 0 {
+		return fail(2, fmt.Errorf("no workload %q in BENCHMARK.json", *only))
+	}
+	dir, err := os.MkdirTemp("", "tcnbench-base-")
+	if err != nil {
+		return fail(2, err)
+	}
+	defer os.RemoveAll(dir)
+	interrupted := make(chan os.Signal, 1)
+	signal.Notify(interrupted, os.Interrupt)
+	go func() { // deferred calls do not run on Ctrl-C
+		<-interrupted
+		os.RemoveAll(dir)
+		os.Exit(130)
+	}()
+
+	cmd := exec.Command("bash", "-c", prepare, "prepare", *base, dir)
+	cmd.Stderr = os.Stderr
+	if err := cmd.Run(); err != nil {
+		return fail(2, fmt.Errorf("preparing base %s and head: %w", *base, err))
+	}
+
+	var rows []comparison
+	for _, w := range workloads {
+		values, err := runPairs(runBench, [2]string{dir, "."}, w, bench.EndToEnd, *pairs, *seconds)
+		if err != nil {
+			return fail(1, err)
+		}
+		for m, d := range bench.EndToEnd {
+			rows = append(rows, compare(w, d, values[0][m], values[1][m]))
+		}
+	}
+	if report(os.Stdout, *base, *pairs, *seconds, rows) {
+		return 1
+	}
+	return 0
 }

@@ -87,14 +87,6 @@ func main() {
 	}
 
 	csvDir = *csv
-	if *traceFile != "" && *traceCap <= 0 {
-		fmt.Fprintf(os.Stderr, "-trace-events %d must be positive\n", *traceCap)
-		os.Exit(2)
-	}
-	if *ledgerCap <= 0 || *perfettoCap <= 0 {
-		fmt.Fprintf(os.Stderr, "-ledger-events %d and -perfetto-events %d must be positive\n", *ledgerCap, *perfettoCap)
-		os.Exit(2)
-	}
 	// The flight-recorder/registry/ledger sinks are shared mutable state
 	// and force a sweep serial, so -serve only attaches them at -workers 1.
 	// At higher worker counts -serve still exposes the atomics-backed
@@ -114,16 +106,16 @@ func main() {
 		if *traceFile != "" || *explain {
 			// -explain keeps a tracer so it can reconcile the ledger's
 			// attribution against the transmission-side mark/drop counts.
-			obsSink.Tracer = trace.New(*traceCap)
+			obsSink.Tracer = trace.New(ringSize("trace-events", *traceCap))
 		}
 		if wantLedger {
-			obsSink.Ledger = trace.NewLedger(*ledgerCap)
+			obsSink.Ledger = trace.NewLedger(ringSize("ledger-events", *ledgerCap))
 			if obsSink.Registry != nil {
 				obsSink.Ledger.Instrument(obsSink.Registry)
 			}
 		}
 		if wantPipeline {
-			obsSink.Pipeline = trace.NewPipeline(*perfettoCap)
+			obsSink.Pipeline = trace.NewPipeline(ringSize("perfetto-events", *perfettoCap))
 		}
 		if wantFlight {
 			if *samplePeriod <= 0 {
@@ -450,6 +442,16 @@ func init() {
 			}
 		},
 	}
+}
+
+// ringSize returns the -name ring capacity n or exits 2 if it is not
+// positive. It runs where the ring's sink is built, so unused sizes pass.
+func ringSize(name string, n int) int {
+	if n <= 0 {
+		fmt.Fprintf(os.Stderr, "-%s %d must be positive\n", name, n)
+		os.Exit(2)
+	}
+	return n
 }
 
 func usage() {

@@ -47,12 +47,10 @@ func BenchmarkEngineScheduleCancel(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineHeapChurn keeps a deep pending set and measures fire plus
+// BenchmarkEngineDeepChurn keeps a deep pending set and measures fire plus
 // reschedule against it — slot relinks and cascades in the wheel — rather
-// than the trivial 1-element case. The name predates the wheel, from when
-// the store was a binary heap, and is kept so tcnbench baselines stay
-// comparable.
-func BenchmarkEngineHeapChurn(b *testing.B) {
+// than the trivial 1-element case.
+func BenchmarkEngineDeepChurn(b *testing.B) {
 	e := NewEngine()
 	fn := func() {}
 	r := NewRand(1)

@@ -54,9 +54,7 @@ type ledgerCell struct {
 // fabrics transmit a CE-marked packet once per hop, so there the tracer
 // counts ≥ the ledger's decisions).
 type Ledger struct {
-	ring   []VerdictEvent
-	next   int
-	filled bool
+	ring ring[VerdictEvent]
 
 	cells map[ledgerKey]*ledgerCell
 	reg   *obs.Registry
@@ -72,11 +70,8 @@ type Ledger struct {
 
 // NewLedger returns a ledger retaining up to capacity verdicts.
 func NewLedger(capacity int) *Ledger {
-	if capacity <= 0 {
-		panic(fmt.Sprintf("trace: ledger capacity %d must be positive", capacity))
-	}
 	return &Ledger{
-		ring:  make([]VerdictEvent, 0, capacity),
+		ring:  newRing[VerdictEvent](capacity),
 		cells: map[ledgerKey]*ledgerCell{},
 	}
 }
@@ -115,32 +110,15 @@ func (l *Ledger) Record(now sim.Time, where string, qi int, p *pkt.Packet, v *co
 	if v.Dropped {
 		l.dropped++
 	}
-	e := VerdictEvent{
+	l.ring.push(VerdictEvent{
 		At: now, Where: where, Queue: qi,
 		Flow: p.Flow, Seq: p.Seq, Size: p.Size,
 		V: *v,
-	}
-	if len(l.ring) < cap(l.ring) {
-		l.ring = append(l.ring, e) //tcnlint:hotpath capacity-guarded; the ring never reallocates
-		return
-	}
-	l.ring[l.next] = e
-	l.next = (l.next + 1) % cap(l.ring)
-	l.filled = true
+	})
 }
 
 // Events returns the retained verdicts in chronological order.
-func (l *Ledger) Events() []VerdictEvent {
-	if !l.filled {
-		out := make([]VerdictEvent, len(l.ring))
-		copy(out, l.ring)
-		return out
-	}
-	out := make([]VerdictEvent, 0, cap(l.ring))
-	out = append(out, l.ring[l.next:]...)
-	out = append(out, l.ring[:l.next]...)
-	return out
-}
+func (l *Ledger) Events() []VerdictEvent { return l.ring.ordered() }
 
 // Count returns the exact number of verdicts recorded for a (port,
 // queue, reason) cell, eviction notwithstanding.
@@ -179,9 +157,9 @@ func (l *Ledger) DigestState(h *digest.Hash) {
 	for _, n := range l.reasons {
 		h.WriteInt64(n)
 	}
-	h.WriteInt(l.next)
-	h.WriteBool(l.filled)
-	h.WriteInt(len(l.ring))
+	h.WriteInt(l.ring.next)
+	h.WriteBool(l.ring.filled)
+	h.WriteInt(len(l.ring.buf))
 }
 
 // sortedKeys returns every populated cell key in (where, queue, reason)

@@ -24,10 +24,7 @@ import (
 // the Ledger and Tracer carry exact counters).
 type Pipeline struct {
 	tracks []pipeTrack
-
-	ring   []pipeEvent
-	next   int
-	filled bool
+	ring   ring[pipeEvent]
 
 	recorded int64 // total events offered, including evicted
 }
@@ -66,10 +63,7 @@ type pipeEvent struct {
 // NewPipeline returns a pipeline recorder retaining up to capacity
 // events.
 func NewPipeline(capacity int) *Pipeline {
-	if capacity <= 0 {
-		panic(fmt.Sprintf("trace: pipeline capacity %d must be positive", capacity))
-	}
-	return &Pipeline{ring: make([]pipeEvent, 0, capacity)}
+	return &Pipeline{ring: newRing[pipeEvent](capacity)}
 }
 
 // Recorded returns the total number of events offered (exact, including
@@ -79,24 +73,7 @@ func (pl *Pipeline) Recorded() int64 { return pl.recorded }
 // record adds one event to the ring.
 func (pl *Pipeline) record(e pipeEvent) {
 	pl.recorded++
-	if len(pl.ring) < cap(pl.ring) {
-		pl.ring = append(pl.ring, e) //tcnlint:hotpath capacity-guarded; the ring never reallocates
-		return
-	}
-	pl.ring[pl.next] = e
-	pl.next = (pl.next + 1) % cap(pl.ring)
-	pl.filled = true
-}
-
-// events returns the retained events in chronological (recording) order.
-func (pl *Pipeline) events() []pipeEvent {
-	if !pl.filled {
-		return pl.ring
-	}
-	out := make([]pipeEvent, 0, cap(pl.ring))
-	out = append(out, pl.ring[pl.next:]...)
-	out = append(out, pl.ring[:pl.next]...)
-	return out
+	pl.ring.push(e)
 }
 
 // addTrack registers one port's tracks and returns its index.
@@ -200,7 +177,7 @@ func (pl *Pipeline) WriteJSON(w io.Writer) error {
 			})
 		}
 	}
-	for _, e := range pl.events() {
+	for _, e := range pl.ring.ordered() {
 		pid := int(e.track) + 1
 		ev := perfettoEvent{Pid: pid, Ts: usec(e.start)}
 		switch e.kind {

@@ -53,51 +53,23 @@ func (e Event) String() string {
 // the oldest events are overwritten. Counters are exact regardless of
 // eviction.
 type Tracer struct {
-	// Filter, if set, drops events for which it returns false before
-	// they reach the ring (counters are not incremented either).
-	Filter func(Event) bool
-
-	ring   []Event
-	next   int
-	filled bool
+	ring   ring[Event]
 	counts [core.NumEventKinds]int64
 }
 
 // New returns a tracer holding up to capacity events.
 func New(capacity int) *Tracer {
-	if capacity <= 0 {
-		panic(fmt.Sprintf("trace: capacity %d must be positive", capacity))
-	}
-	return &Tracer{ring: make([]Event, 0, capacity)}
+	return &Tracer{ring: newRing[Event](capacity)}
 }
 
 // Record adds one event.
 func (t *Tracer) Record(e Event) {
-	if t.Filter != nil && !t.Filter(e) {
-		return
-	}
 	t.counts[e.Kind]++
-	if len(t.ring) < cap(t.ring) {
-		t.ring = append(t.ring, e) //tcnlint:hotpath capacity-guarded; the ring never reallocates
-		return
-	}
-	t.ring[t.next] = e
-	t.next = (t.next + 1) % cap(t.ring)
-	t.filled = true
+	t.ring.push(e)
 }
 
 // Events returns the retained events in chronological order.
-func (t *Tracer) Events() []Event {
-	if !t.filled {
-		out := make([]Event, len(t.ring))
-		copy(out, t.ring)
-		return out
-	}
-	out := make([]Event, 0, cap(t.ring))
-	out = append(out, t.ring[t.next:]...)
-	out = append(out, t.ring[:t.next]...)
-	return out
-}
+func (t *Tracer) Events() []Event { return t.ring.ordered() }
 
 // Count returns how many events of a kind were recorded (including
 // evicted ones).

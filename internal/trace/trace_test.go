@@ -44,16 +44,6 @@ func TestEventsBeforeWrap(t *testing.T) {
 	}
 }
 
-func TestFilterExcludes(t *testing.T) {
-	tr := New(10)
-	tr.Filter = func(e Event) bool { return e.Kind == Drop }
-	tr.Record(ev(1*sim.Nanosecond, Transmit, 1))
-	tr.Record(ev(2*sim.Nanosecond, Drop, 2))
-	if len(tr.Events()) != 1 || tr.Count(Transmit) != 0 || tr.Count(Drop) != 1 {
-		t.Fatal("filter not applied")
-	}
-}
-
 func TestEventString(t *testing.T) {
 	s := ev(5*sim.Microsecond, Mark, 7).String()
 	for _, want := range []string{"mark", "p0", "flow=7", "ECT(0)"} {
@@ -191,24 +181,6 @@ func TestRingEvictionAcrossMultipleWraps(t *testing.T) {
 	if tr.Count(Drop) != wantDrops || tr.Count(Transmit) != total-wantDrops {
 		t.Fatalf("counters drop=%d tx=%d, want %d/%d despite eviction",
 			tr.Count(Drop), tr.Count(Transmit), wantDrops, total-wantDrops)
-	}
-}
-
-// TestFilterRejectedIncrementsNothing pins the satellite contract: an
-// event the filter rejects reaches neither the ring nor any counter.
-func TestFilterRejectedIncrementsNothing(t *testing.T) {
-	tr := New(4)
-	tr.Filter = func(Event) bool { return false }
-	for i := 0; i < 10; i++ {
-		tr.Record(ev(sim.Time(i), Kind(i%3), pkt.FlowID(i)))
-	}
-	if len(tr.Events()) != 0 {
-		t.Fatalf("ring retained %d filtered events", len(tr.Events()))
-	}
-	for _, k := range []Kind{Transmit, Mark, Drop} {
-		if tr.Count(k) != 0 {
-			t.Fatalf("counter %v = %d after filtered records", k, tr.Count(k))
-		}
 	}
 }
 
