@@ -662,7 +662,7 @@ func BenchmarkPerfCampaignRecord(b *testing.B) {
 	eng.At(0, func() {})
 	eng.Run() // touch the counters so ReportEngine folds real values
 	var pool pkt.Pool
-	pool.Put(pool.Get())
+	pool.Put(pool.New(pkt.Packet{}))
 	i := 0
 	record := func() {
 		w := i & 3

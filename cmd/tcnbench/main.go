@@ -6,7 +6,8 @@
 //
 // The base side is `git archive REF` in a temporary directory, removed on
 // exit, with the working tree's perfbench/ and BENCHMARK.json copied over
-// it, so both sides run identical benchmark code. Pair i runs
+// it, so both sides run identical benchmark code. It builds on a copy of
+// the working tree's benchmark Go cache (.bench_build/gocache). Pair i runs
 // `bash perfbench/run.sh --workload W --seed i --seconds S --trace 0` on
 // both sides, base first in odd pairs and head first in even ones. For
 // each workload and each end-to-end metric of BENCHMARK.json it prints
@@ -275,13 +276,27 @@ func report(w io.Writer, base string, pairs, seconds int, rows []comparison) boo
 }
 
 // prepare writes ref $1's tree into $2, copies the working tree's
-// benchmark over it and builds the benchmark on both sides.
+// benchmark over it and builds the benchmark on both sides through
+// perfbench/run.sh, so the builds share its environment: the head side
+// first, then the base side on a copy of the head side's Go cache
+// (.bench_build/gocache), so the base build skips the standard library
+// and every package the two trees share. run.sh runs the benchmark after
+// building it, and the benchmark exits 2 on -h; a failed build leaves no
+// binary behind.
 const prepare = `set -euo pipefail
 git archive --format=tar "$1" | tar -x -C "$2"
 rm -rf "$2/perfbench"
 cp -R perfbench BENCHMARK.json "$2"
-go -C perfbench build -o /dev/null .
-go -C "$2/perfbench" build -o /dev/null .`
+build() {
+	mkdir -p "$1/.bench_build"
+	rm -f "$1/.bench_build/perfbench"
+	(cd "$1" && CARGO_TARGET_DIR=.bench_build bash perfbench/run.sh -h 2>.bench_build/build.log) || true
+	[[ -x "$1/.bench_build/perfbench" ]] || { cat "$1/.bench_build/build.log" >&2; exit 1; }
+}
+build .
+mkdir -p "$2/.bench_build"
+cp -R .bench_build/gocache "$2/.bench_build/"
+build "$2"`
 
 func main() {
 	os.Exit(compareBuilds())

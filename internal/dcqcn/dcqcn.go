@@ -241,8 +241,7 @@ func (snd *Sender) schedule() {
 		return
 	}
 	size := snd.stack.cfg.MTUBytes
-	p := snd.stack.pool.Get()
-	*p = pkt.Packet{
+	p := snd.stack.pool.New(pkt.Packet{
 		Flow:   snd.id,
 		Src:    snd.src,
 		Dst:    snd.dst,
@@ -252,7 +251,7 @@ func (snd *Sender) schedule() {
 		ECN:    pkt.ECT0,
 		DSCP:   snd.class,
 		SentAt: snd.stack.eng.Now(),
-	}
+	})
 	snd.stack.hosts[snd.src].Send(p)
 	snd.SentBytes += int64(size - pkt.HeaderSize)
 	snd.onBytes(int64(size))
@@ -334,8 +333,7 @@ func (np *notifier) onData(p *pkt.Packet) {
 		return
 	}
 	np.lastCNP = now
-	cnp := np.stack.pool.Get()
-	*cnp = pkt.Packet{
+	cnp := np.stack.pool.New(pkt.Packet{
 		Flow:   p.Flow,
 		Src:    p.Dst,
 		Dst:    p.Src,
@@ -344,7 +342,7 @@ func (np *notifier) onData(p *pkt.Packet) {
 		Size:   pkt.AckSize,
 		DSCP:   0, // CNPs ride the highest priority, as operators configure (§2.2)
 		SentAt: now,
-	}
+	})
 	np.stack.hosts[p.Dst].Send(cnp)
 }
 

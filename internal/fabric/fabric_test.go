@@ -119,6 +119,62 @@ func TestPortDropsWhenFull(t *testing.T) {
 	}
 }
 
+// TestPortReturnsDroppedPacketToPool checks the drop path: a packet the
+// buffer rejects goes back to the pool it came from, after the observers
+// have seen its drop verdict, and the buffer still counts the drop.
+func TestPortReturnsDroppedPacketToPool(t *testing.T) {
+	eng := sim.NewEngine()
+	sk := &sink{eng: eng}
+	port := NewPort(eng, PortConfig{Rate: Gbps, Queues: 1, BufferBytes: 1500}, sk)
+	var pool pkt.Pool
+	ob := &dropWatch{pool: &pool, liveAtDrop: -1}
+	port.Observe(ob)
+	var sent []*pkt.Packet
+	for i := 0; i < 3; i++ {
+		p := pool.New(pkt.Packet{Size: 1500, Seq: int64(i), ECN: pkt.ECT0})
+		sent = append(sent, p)
+		port.Send(p)
+	}
+	// The first packet enters service at once and the second fills the
+	// buffer, so the third drops.
+	if ob.drops != 1 || ob.seq != 2 || ob.liveAtDrop != 0 {
+		t.Fatalf("observer saw %d drops (last seq %d, pool held %d at the verdict), want 1 drop of seq 2 before its release",
+			ob.drops, ob.seq, ob.liveAtDrop)
+	}
+	if port.Buffer().TotalDrops() != 1 {
+		t.Fatalf("buffer counted %d drops, want 1", port.Buffer().TotalDrops())
+	}
+	if pool.Live() != 1 {
+		t.Fatalf("pool holds %d packets after the drop, want 1", pool.Live())
+	}
+	if p := pool.New(pkt.Packet{}); p != sent[2] {
+		t.Fatal("the pool did not reissue the dropped packet")
+	}
+	eng.Run()
+	if len(sk.pkts) != 2 {
+		t.Fatalf("delivered %d packets, want 2", len(sk.pkts))
+	}
+}
+
+// dropWatch is a test observer that records the last drop verdict and
+// how many packets its pool held at that moment.
+type dropWatch struct {
+	pool       *pkt.Pool
+	drops      int
+	seq        int64
+	liveAtDrop int
+}
+
+func (d *dropWatch) Enqueue(sim.Time, int, *pkt.Packet) {}
+func (d *dropWatch) Verdict(_ sim.Time, _ int, p *pkt.Packet, v *core.Verdict) {
+	if v.Dropped {
+		d.drops++
+		d.seq = p.Seq
+		d.liveAtDrop = d.pool.Live()
+	}
+}
+func (d *dropWatch) Transmit(sim.Time, int, *pkt.Packet) {}
+
 func TestPortStampsEnqueueTime(t *testing.T) {
 	eng := sim.NewEngine()
 	sk := &sink{eng: eng}

@@ -3,6 +3,7 @@ package fabric
 import (
 	"fmt"
 
+	"tcn/internal/invariant"
 	"tcn/internal/pkt"
 	"tcn/internal/sim"
 )
@@ -50,6 +51,9 @@ func (h *Host) Send(p *pkt.Packet) {
 // Receive implements Receiver: deliver to the transport after the host
 // processing delay.
 func (h *Host) Receive(p *pkt.Packet) {
+	if invariant.Enabled {
+		invariant.Checkf(!p.Poisoned(), "fabric: host %d receives packet %p after its release", h.ID, p)
+	}
 	if h.delay > 0 {
 		h.eng.AfterArg(h.delay, h.deliverFn, p)
 		return

@@ -191,8 +191,14 @@ func (pt *Port) SetProfiler(p *prof.Profiler, label string) {
 // Send admits p to the port and reports whether the buffer took it. It
 // classifies, applies admission control against the shared buffer,
 // stamps the enqueue timestamp, runs enqueue-side marking, and kicks the
-// transmitter if the link is idle and not waiting for shaper tokens.
+// transmitter if the link is idle and not waiting for shaper tokens. A
+// packet the buffer rejects goes back to the pool it came from once the
+// observers have seen the drop verdict, so the caller must not touch it
+// after Send returns false.
 func (pt *Port) Send(p *pkt.Packet) bool {
+	if invariant.Enabled {
+		invariant.Checkf(!p.Poisoned(), "fabric: port sends packet %p after its release", p)
+	}
 	if pt.prof != nil {
 		pt.scope.Enter()
 	}
@@ -206,6 +212,7 @@ func (pt *Port) Send(p *pkt.Packet) bool {
 			pt.verdict.Dropped = true
 			pt.notify(now, qi, p)
 		}
+		p.Release()
 	} else {
 		pt.admitted[qi]++
 		pt.admittedBytes[qi] += int64(p.Size)

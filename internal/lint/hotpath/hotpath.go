@@ -13,9 +13,9 @@
 // analyzer's module-wide facts and computes everything reachable from the
 // hot roots — sim.Engine.Run/RunUntil (including every scheduled callback,
 // via the call graph's conservative dynamic-call resolution), the timing
-// wheel's cascade path (wheel.place/cascade/drainSpill/detachRun/
-// requeueRun, which relink whole slots mid-fire and must reuse their
-// scratch storage), and fabric.Port.Send/transmitNext, the one egress
+// wheel's store (wheel.place/cascade/drainSpill and the sorted bucket
+// insert slotList.insertSorted, which relink events and whole slots
+// mid-fire and must stay pointer stores), and fabric.Port.Send/transmitNext, the one egress
 // pipeline (qdisc.Qdisc is a fabric.Port with a shaper) — then
 // flags the well-known allocation sources inside reachable functions:
 // closures capturing variables, concrete values boxed into interface
@@ -67,17 +67,17 @@ func isRoot(n *callgraph.Node) bool {
 		return false
 	}
 	recv := recvName(n.Sig.Recv().Type())
-	if pkg.Name() == "sim" && recv == "wheel" {
-		// The timing wheel's cascade path: these redistribute whole slots
-		// (or the spill list) while the event loop is mid-fire, so they
-		// carry the same zero-allocation contract as the loop itself.
-		// They are rooted directly — not just reached through Engine.Run —
-		// so the check cannot silently lapse if the graph loses the edge
-		// through the engine's nilable wheel field. Matched by package
-		// name, not path, so the fixture twin (testdata path "wheelsim",
-		// package sim) exercises the same rule.
+	if pkg.Name() == "sim" && (recv == "wheel" || recv == "slotList") {
+		// The timing wheel's store: placement, the sorted bucket insert,
+		// and the cascade and spill drain that redistribute whole slots
+		// while the event loop is mid-fire carry the same zero-allocation
+		// contract as the loop itself. They are rooted directly — not just
+		// reached through Engine.Run — so the check cannot silently lapse
+		// if the graph loses the edge through the engine's nilable wheel
+		// field. Matched by package name, not path, so the fixture twin
+		// (testdata path "wheelsim", package sim) exercises the same rule.
 		switch n.Obj.Name() {
-		case "place", "cascade", "drainSpill", "detachRun", "requeueRun":
+		case "place", "insertSorted", "cascade", "drainSpill":
 			return true
 		}
 		return false

@@ -1,10 +1,11 @@
 // Package sim (fixture path "wheelsim") mirrors the timing-wheel core's
-// slot store. Its cascade-path methods (place, cascade, drainSpill,
-// detachRun, requeueRun) are direct hotpath roots — the analyzer checks
-// them even though nothing in the fixture calls them — because the real
-// wheel relinks whole slots while the event loop is mid-fire. It lives
-// apart from the shared "sim" fixture so its want comments do not leak
-// into the other analyzers that target that package.
+// slot store. Its store methods (wheel.place, wheel.cascade,
+// wheel.drainSpill, slotList.insertSorted) are direct hotpath roots — the
+// analyzer checks them even though nothing in the fixture calls them —
+// because the real wheel relinks events and whole slots while the event
+// loop is mid-fire. It lives apart from the shared "sim" fixture so its
+// want comments do not leak into the other analyzers that target that
+// package.
 package sim
 
 // wheel is the fixture twin of the engine's hierarchical timing wheel.
@@ -12,11 +13,20 @@ type wheel struct {
 	slots    [8][]func()
 	overflow []func()
 	names    map[int]string
-	run      []func()
+}
+
+// slotList is the fixture twin of a sorted level-0 bucket.
+type slotList struct {
+	head, tail *node
+}
+
+type node struct {
+	at         int64
+	prev, next *node
 }
 
 // place is a true negative: indexing preallocated storage does not grow
-// anything and is allowed on the cascade path.
+// anything and is allowed on the store's path.
 func (w *wheel) place(i int, fn func()) {
 	w.slots[i&7][0] = fn
 }
@@ -39,17 +49,25 @@ func (w *wheel) drainSpill() {
 	}
 }
 
-// detachRun shows the waiver etiquette for the run scratch: the append
-// reuses capacity after warm-up, which the analyzer cannot prove, so the
-// real wheel records it with a line waiver.
-func (w *wheel) detachRun() {
-	w.run = append(w.run, nil) //tcnlint:hotpath run scratch reuses its capacity after warm-up
-}
-
-// requeueRun drains the scratch back into slot zero without growing it.
-func (w *wheel) requeueRun() {
-	for i, fn := range w.run {
-		w.slots[0][i] = fn
+// insertSorted links n into a sorted bucket from the tail. Its pointer
+// relinks are true negatives; stepping the walk through a closure is
+// flagged, because the captured cursor escapes and each insert would
+// allocate.
+func (l *slotList) insertSorted(n *node) {
+	p := l.tail
+	back := func() { p = p.prev } // want `closure captures "p" inside the hot path`
+	for p != nil && p.at > n.at {
+		back()
 	}
-	w.run = w.run[:0]
+	n.prev = p
+	if p == nil {
+		n.next, l.head = l.head, n
+	} else {
+		n.next, p.next = p.next, n
+	}
+	if n.next == nil {
+		l.tail = n
+	} else {
+		n.next.prev = n
+	}
 }

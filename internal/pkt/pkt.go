@@ -112,6 +112,10 @@ type Packet struct {
 	EnqueuedAt sim.Time // set on every queue admission, read at dequeue
 	Hops       int      // switch hops traversed, for sanity checks
 	SchedTag   float64  // per-packet scheduler tag (WFQ finish time, PIFO rank)
+
+	// pool is the Pool that issued the packet, set by New; Release
+	// returns the packet there.
+	pool *Pool
 }
 
 // Sojourn returns the time the packet has spent in its current queue.

@@ -3,6 +3,7 @@ package pkt
 import (
 	"strings"
 	"testing"
+	"unsafe"
 
 	"tcn/internal/sim"
 )
@@ -91,4 +92,12 @@ func TestSizeConstants(t *testing.T) {
 		t.Fatal("pure ACKs should be header-only")
 	}
 	var _ sim.Time = (&Packet{}).EnqueuedAt
+}
+
+// TestPacketSizeClass pins Packet to the allocator's 128-byte size class:
+// one more word would move every packet into the 144-byte class.
+func TestPacketSizeClass(t *testing.T) {
+	if n := unsafe.Sizeof(Packet{}); n > 128 {
+		t.Fatalf("Packet is %d bytes, want at most 128", n)
+	}
 }

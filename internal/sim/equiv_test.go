@@ -10,7 +10,9 @@ import (
 // instant, Cancel of a live event removes it and of anything else is a
 // no-op, and Stop ends a run after the current callback. These tests drive
 // the engine and refModel — a deliberately naive model of that contract —
-// with byte-identical op streams (same-tick bursts, cascade-crossing
+// with byte-identical op streams (same-tick bursts, two instants of one
+// bucket scheduled in reverse, an At(now) echo ahead of a later event of
+// its bucket, block starts of two levels that coincide, cascade-crossing
 // horizons, beyond-horizon spills, stale cancels) and compare the firing
 // logs and the engine state after every op. The test names predate the
 // reference model: the wheel was first checked against the binary-heap
@@ -204,25 +206,31 @@ type equivRun struct {
 // stale, which must be harmless), deciding from the tag alone so both
 // targets see identical work. stopTag, when >= 0, names an event whose
 // callback schedules one more event at the current instant and calls Stop.
+// then names events whose callback schedules one more event at the given
+// instant.
 type opStream struct {
 	tgt     opTarget
 	run     equivRun
 	nextTag int64
 	react   bool
 	stopTag int64
+	then    map[int64]Time
 }
 
 func newOpStream(mk newTarget, react bool, stopTag int64) *opStream {
-	s := &opStream{react: react, stopTag: stopTag}
+	s := &opStream{react: react, stopTag: stopTag, then: map[int64]Time{}}
 	s.tgt = mk(s.fire)
 	return s
 }
 
 func (s *opStream) fire(tag int64) {
 	s.run.log = append(s.run.log, equivFiring{tag, s.tgt.now()})
+	if at, ok := s.then[tag]; ok {
+		s.scheduleAt(at)
+	}
 	if tag == s.stopTag {
-		// A same-instant event scheduled before the Stop lands ahead of
-		// the requeued remainder, which must still fire first.
+		// A same-instant event scheduled before the Stop sorts behind
+		// the rest of the burst, which must still fire first.
 		s.schedule(0)
 		s.tgt.stop()
 	}
@@ -248,6 +256,46 @@ func (s *opStream) peek() {
 func (s *opStream) schedule(d Time) {
 	s.tgt.schedule(d, s.nextTag)
 	s.nextTag++
+}
+
+func (s *opStream) scheduleAt(at Time) { s.schedule(at - s.tgt.now()) }
+
+// bucketStart returns the first level-0 bucket boundary at or after
+// now+d.
+func (s *opStream) bucketStart(d Time) Time {
+	const width = Time(1) << l0Shift
+	return (s.tgt.now() + d + width - 1) &^ (width - 1)
+}
+
+// reversePair schedules two instants of one level-0 bucket, the later
+// one first: the bucket must sort them by time, not by arrival.
+func (s *opStream) reversePair(d Time) {
+	b := s.bucketStart(d)
+	s.scheduleAt(b + 1<<l0Shift - 1)
+	s.scheduleAt(b)
+}
+
+// echoAhead schedules an event whose callback schedules At(now) while a
+// later event of the same bucket waits: the echo must fire between them.
+func (s *opStream) echoAhead(d Time) {
+	b := s.bucketStart(d)
+	s.then[s.nextTag] = b
+	s.scheduleAt(b)
+	s.scheduleAt(b + 1<<l0Shift - 1)
+}
+
+// coincide makes a level-lvl block (a bucket when lvl is 0) and a
+// level-(lvl+1) block start at the same instant S: one event at S goes
+// to level lvl+1 now, and a
+// trigger half a level-(lvl+1) block earlier schedules a second event at
+// S, which lands at level lvl. The first, with the smaller seq, must fire
+// first.
+func (s *opStream) coincide(lvl int) {
+	sh := hiShift(lvl + 1)
+	start := (s.tgt.now()>>sh + 2) << sh
+	s.scheduleAt(start)
+	s.then[s.nextTag] = start
+	s.scheduleAt(start - 1<<(sh-1))
 }
 
 // op ends one top-level op: it asserts the conservation law and records
@@ -294,15 +342,21 @@ func runEquivWorkload(t *testing.T, mk newTarget, seed int64, ops int) equivRun 
 	r := NewRand(seed)
 	for i := 0; i < ops; i++ {
 		switch c := r.Range(0, 100); {
-		case c < 55:
+		case c < 50:
 			s.schedule(equivDeltas[r.Range(0, len(equivDeltas)-1)])
-		case c < 65:
-			// Same-tick burst: several events at one instant exercises
-			// the same-instant run drain.
+		case c < 58:
+			// Same-tick burst: several events at one instant must fire
+			// in scheduling order.
 			d := equivDeltas[r.Range(0, len(equivDeltas)-1)]
 			for k := r.Range(2, 6); k > 0; k-- {
 				s.schedule(d)
 			}
+		case c < 61:
+			s.reversePair(equivDeltas[r.Range(0, len(equivDeltas)-1)])
+		case c < 64:
+			s.echoAhead(equivDeltas[r.Range(0, len(equivDeltas)-1)])
+		case c < 65:
+			s.coincide(r.Range(0, 2))
 		case c < 80:
 			if s.nextTag > 0 {
 				s.tgt.cancel(r.Range(0, int(s.nextTag)-1))
@@ -336,9 +390,8 @@ func TestWheelHeapEquivalence(t *testing.T) {
 
 // TestWheelHeapEquivalenceStop checks Stop and resume: a callback in the
 // middle of a same-instant burst schedules one more event at that instant
-// and stops the engine, the wheel requeues its detached remainder behind
-// that event, and the engine and the model must agree on what has and has
-// not fired when the run resumes.
+// and stops the engine, and the engine and the model must agree on what
+// has and has not fired when the run resumes.
 func TestWheelHeapEquivalenceStop(t *testing.T) {
 	const stopTag = 5
 	run := func(mk newTarget) equivRun {
@@ -352,9 +405,9 @@ func TestWheelHeapEquivalenceStop(t *testing.T) {
 		s.op(t)
 		s.tgt.runUntil(MaxTime) // runs until the Stop
 		s.op(t)
-		// Schedule more same-instant events while the remainder is
-		// parked, then drain: the requeued events must still fire first
-		// (smaller seq).
+		// Schedule more same-instant events while the remainder waits,
+		// then drain: the remainder must still fire first (smaller
+		// seq).
 		s.schedule(0)
 		s.op(t)
 		s.tgt.runUntil(MaxTime)
@@ -371,14 +424,26 @@ func TestWheelHeapEquivalenceStop(t *testing.T) {
 // FuzzWheelHeapEquivalence interprets the fuzz input as an op stream and
 // checks the engine against the reference model on it. Each byte pair is
 // one op: schedule at one of the delta buckets, cancel a handle, run a
-// bounded chunk, or peek at the earliest pending instant.
+// bounded chunk, peek at the earliest pending instant, or one of the
+// bucket-order and coinciding-block cases.
 func FuzzWheelHeapEquivalence(f *testing.F) {
-	f.Add([]byte{0x00, 0x01, 0x22, 0x53, 0x84, 0xb5, 0xe6, 0x17, 0x48, 0x79})
-	f.Add([]byte{0xff, 0xfe, 0xfd, 0xfc, 0x00, 0x00, 0x00, 0x00})
-	f.Add([]byte{0x10, 0x90, 0x20, 0xa0, 0x30, 0xb0, 0x40, 0xc0, 0x50, 0xd0})
+	// Each seed's op bytes are chosen for what they decode to: schedule,
+	// peek, cancel, schedule, cancel.
+	f.Add([]byte{0x00, 0x01, 0x24, 0x53, 0x82, 0xb5, 0xe0, 0x17, 0x4a, 0x79})
+	// Schedule at 50 ns, run a bounded 252 us, schedule twice at the
+	// cursor's instant.
+	f.Add([]byte{0xf8, 0xfe, 0xfb, 0xfc, 0x00, 0x00, 0x00, 0x00})
+	// Schedule, cancel, run, peek, schedule.
+	f.Add([]byte{0x11, 0x90, 0x22, 0xa0, 0x33, 0xb0, 0x44, 0xc0, 0x50, 0xd0})
 	// Schedule at 5 us, peek, schedule at 50 ns, drain: the peek must not
 	// strand the earlier event.
 	f.Add([]byte{0x00, 0x03, 0x04, 0x00, 0x00, 0x02})
+	// The bucket-order cases around a bounded run: a reversed pair at
+	// 50 ns, an echo ahead of a later event at 5 us, a bucket and a
+	// level-1 block starting together, a 1 us run, coinciding level-1 and
+	// level-2 blocks, coinciding level-2 and level-3 blocks, a reversed
+	// pair at 5 us and an echo in the current bucket.
+	f.Add([]byte{0x05, 0x02, 0x06, 0x03, 0x07, 0x00, 0x03, 0x01, 0x07, 0x01, 0x07, 0x02, 0x05, 0x03, 0x06, 0x00})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 4096 {
 			data = data[:4096]
@@ -387,7 +452,7 @@ func FuzzWheelHeapEquivalence(f *testing.F) {
 			s := newOpStream(mk, false, -1)
 			for i := 0; i+1 < len(data); i += 2 {
 				op, arg := data[i], data[i+1]
-				switch op % 5 {
+				switch op % 8 {
 				case 0, 1:
 					s.schedule(equivDeltas[int(arg)%len(equivDeltas)])
 				case 2:
@@ -398,6 +463,12 @@ func FuzzWheelHeapEquivalence(f *testing.F) {
 					s.tgt.runUntil(s.tgt.now() + Time(arg)*Microsecond)
 				case 4:
 					s.peek()
+				case 5:
+					s.reversePair(equivDeltas[int(arg)%len(equivDeltas)])
+				case 6:
+					s.echoAhead(equivDeltas[int(arg)%len(equivDeltas)])
+				case 7:
+					s.coincide(int(arg) % 3)
 				}
 				s.op(t)
 			}

@@ -6,13 +6,15 @@
 // they were scheduled (a monotonically increasing sequence number breaks
 // ties), which makes every simulation fully deterministic for a given seed.
 //
-// The store is a hierarchical timing wheel (wheel.go): O(1) schedule,
-// cancel, and fire for the short-horizon events that dominate simulations —
-// serialization, token refill, RTO arm/disarm, sampler ticks — with
-// cascading overflow levels for far timers, a sorted spill list beyond the
-// horizon, and a same-instant batch drain so one cursor scan serves a whole
-// burst. The tests pin the (at, seq) order against a small reference model
-// of the contract (equiv_test.go) and pin whole runs with golden
+// The store is a hierarchical timing wheel (wheel.go): near-constant-time
+// schedule, cancel, and fire for the short-horizon events that dominate
+// simulations — serialization, token refill, RTO arm/disarm, sampler
+// ticks. Its bottom level is a ring of 64 ns buckets, each kept sorted by
+// (at, seq), from whose earliest head the engine fires one event at a
+// time; upper levels placed by block distance from the cursor cascade far
+// timers down, and a sorted spill list holds what lies beyond the
+// horizon. The tests pin the (at, seq) order against a small reference
+// model of the contract (equiv_test.go) and pin whole runs with golden
 // fingerprints.
 //
 // The event store is allocation-free in steady state: fired and canceled
@@ -86,7 +88,7 @@ type event struct {
 	at   Time
 	seq  uint64
 	gen  uint64
-	slot int32  // flat wheel slot index, or slotNone/slotSpill/slotRun
+	slot int32  // flat wheel slot index, or slotNone/slotSpill
 	next *event // slot/spill list links
 	prev *event
 	fn   func()
@@ -180,12 +182,10 @@ func NewEngine() *Engine { return &Engine{wheel: newWheel()} }
 func (e *Engine) Now() Time { return e.now }
 
 // Len returns the number of pending events. Canceled events are removed
-// from the store eagerly, so they are never counted. Events of the instant
-// currently executing that have not yet fired count as pending, even
-// though the wheel has already detached them into its run.
+// from the store eagerly, so they are never counted.
 func (e *Engine) Len() int {
 	w := e.wheel
-	return w.pending + w.spillCount + w.inRun
+	return w.pending + w.spillCount
 }
 
 // pendMix folds an event's identity into the pendSum accumulator. The

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"runtime"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -324,4 +325,22 @@ func TestRandRange(t *testing.T) {
 	if r.Range(5, 5) != 5 || r.Range(9, 2) != 9 {
 		t.Fatal("degenerate ranges")
 	}
+}
+
+// TestNewEngineFootprint pins the bytes one engine allocates up front:
+// the wheel's slot arrays dominate, and a paper-scale sweep builds one
+// engine per cell.
+func TestNewEngineFootprint(t *testing.T) {
+	const n = 16
+	engines := make([]*Engine, n)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := range engines {
+		engines[i] = NewEngine()
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / n; per > 64<<10 {
+		t.Fatalf("NewEngine allocates %d bytes, want at most %d", per, 64<<10)
+	}
+	runtime.KeepAlive(engines)
 }

@@ -2,71 +2,63 @@ package sim
 
 import "math/bits"
 
-// The hierarchical timing wheel. A wide bottom level of 16384 one-ns slots
-// and three 1024-slot upper levels:
+// The hierarchical timing wheel. A narrow bottom level of 256 sorted
+// buckets and three 1024-slot upper levels:
 //
-//	level 0: 1 ns slots,     window ~16.4 us  (serialization, link delays, same-instant bursts)
+//	level 0: 64 ns buckets,  window ~16.4 us  (serialization, link delays, same-instant bursts)
 //	level 1: ~16.4 us slots, window ~16.8 ms  (RTTs, RTO timers, sampler ticks)
 //	level 2: ~16.8 ms slots, window ~17.2 s   (epoch snapshots, run phases)
 //	level 3: ~17.2 s slots,  window ~4.9 h    (whole-run horizons)
 //
-// The bottom level is deliberately wide: most events a packet simulation
-// schedules — serialization times, link latencies, ACK clocks — land within
-// a few microseconds, while the 2^14-slot array (256 KB) stays
-// cache-resident. Placement is by XOR with the cursor (below), so a near
-// event places directly at level 0 only when it shares the cursor's
-// 16.4 us-aligned block; one that crosses the block boundary goes to
-// level 1 and cascades once when the cursor enters its block. Near events
-// therefore cascade often: the Fig 6 testbed workload (perfbench
-// fig6-testbed, seed 3) cascades 5.26 M times for 9.33 M events, about
-// 0.56 per event. Wider bottoms (2^16) eliminate some cascades but lose
-// more to cache misses on the slot array; narrower ones (2^10) push more
-// placements through 1-2 cascades.
-//
-// An event at absolute time t goes to the lowest level whose window,
-// anchored at the scan cursor cur, contains t: level L iff
-// (t XOR cur) < 2^levelTop(L), at slot (t >> levelShift(L)) & levelMask(L).
-// Events beyond the level-3 window go to a doubly-linked spill list kept
+// Each level is a ring of blocks: level L cuts time into blocks of 2^shift
+// ns (l0Shift at level 0, hiShift(L) above), and an event at absolute
+// time t goes to the lowest level whose block distance from the scan
+// cursor cur, t>>shift - cur>>shift, is below the level's slot count, at
+// slot (t >> shift) & mask. A level therefore holds the blocks from the
+// cursor's onwards, so a near event lands at level 0 whichever
+// block boundary it crosses: serialization and link timers never
+// cascade. Events beyond the level-3 window go to a spill list kept
 // sorted by (at, seq).
 //
-// The cascade rule: the cursor only moves forward through findNext. When
-// every slot at level 0 ahead of the cursor is empty, the cursor jumps to
-// the start of the next occupied higher-level slot and that slot's events
-// re-place one level (or more) down. A slot's range is exactly the window
-// of the level below, so after the cascade the level invariant holds again:
-// level L holds only events inside the current level-(L+1) slot's range,
-// which is why a bitmap scan from the cursor can never miss an event.
+// A level-0 bucket holds every pending event of its 64 ns block as one
+// doubly-linked list sorted by (at, seq), and placement walks it from
+// the tail: new events carry the largest seq and mostly the latest time,
+// so the walk is short. The engine fires one event at a time from the
+// head of the earliest bucket, so an At(now) from a callback lands behind
+// the current instant's other events and ahead of later instants in the
+// same bucket, exactly where (at, seq) order puts it. 64 ns buckets keep
+// the array at 4 KB; narrower ones shorten the walk (0.57 nodes per
+// insert at 64 ns, 0.11 at 16 ns on fig10-leafspine) without a measurable
+// speed-up (EXPERIMENTS.md, "Level-0 bucket width").
 //
-// Level-0 slots hold events of a single instant (the tick is 1 ns). That
-// makes the same-instant batch drain in runWheel safe: a detached run can
-// only be extended by callbacks scheduling At(now) — which land in the slot
-// with strictly larger seq and are picked up by the next findNext — never
-// by events that must fire before the run's remainder.
-//
-// Slot lists stay seq-sorted by construction (direct placements append in
-// schedule order, cascades preserve list order, and every cascade into a
-// slot happens before any direct placement can target it); detachRun still
-// verifies and falls back to an insertion sort, because a Stop mid-run
-// requeues the remainder behind any newly scheduled same-instant events.
+// The upper slots are plain unsorted lists. A slot of level L+1 covers
+// exactly one level-L block width, so when the cursor reaches the start
+// of its block the slot cascades: each event is placed again, landing at
+// level L or lower. Upper-level events are never in the cursor's own
+// block at their level (they would have fit a lower level), so the
+// earliest pending event is either the earliest bucket's head or inside
+// some upper level's first occupied block. findNext fires the bucket head
+// while it lies before every upper block start (and the spill head); on a
+// tie the block cascades first, since it may hold an earlier seq at that
+// instant. Tied blocks of different levels may cascade in either order:
+// what they hold sorts into level 0 before that instant fires. hiNext
+// caches a lower bound of those starts, so most events skip the upper
+// levels' scan (EXPERIMENTS.md, "Level-0 bucket width").
 const (
-	l0Bits     = 14
-	l0Slots    = 1 << l0Bits
-	l0Mask     = l0Slots - 1
-	l0Words    = l0Slots / 64
-	l0SumWords = l0Words / 64
+	l0Shift = 6  // level-0 bucket width: 64 ns
+	l0Bits  = 14 // level-0 window: 2^14 ns
+	l0Slots = 1 << (l0Bits - l0Shift)
+	l0Mask  = l0Slots - 1
+	l0Words = l0Slots / 64
 
 	wheelBits   = 10 // bits per level above level 0
 	wheelSlots  = 1 << wheelBits
 	wheelMask   = wheelSlots - 1
 	wheelLevels = 4
 	wheelWords  = wheelSlots / 64
-
-	// wheelHorizon is the first instant-delta past the level-3 window;
-	// events at or beyond it spill.
-	wheelHorizon = uint64(1) << (l0Bits + (wheelLevels-1)*wheelBits)
 )
 
-// hiShift returns the slot-index shift of level lvl (1..3).
+// hiShift returns the block-width shift of level lvl (1..3).
 func hiShift(lvl int) uint { return l0Bits + uint(lvl-1)*wheelBits }
 
 // Event location markers stored in event.slot (>= 0 is a flat slot index:
@@ -75,11 +67,10 @@ func hiShift(lvl int) uint { return l0Bits + uint(lvl-1)*wheelBits }
 const (
 	slotNone  = -1 // not queued: retired or executing
 	slotSpill = -2 // on the beyond-horizon spill list
-	slotRun   = -3 // detached into the current same-instant run
 )
 
 // slotList is one wheel slot: a doubly-linked list threaded through the
-// event nodes themselves, so schedule, cancel, and detach are pointer
+// event nodes themselves, so schedule, cancel, and fire are pointer
 // stores with no allocation.
 type slotList struct {
 	head, tail *event
@@ -96,6 +87,28 @@ func (l *slotList) pushBack(ev *event) {
 	l.tail = ev
 }
 
+// insertSorted links ev into a list sorted by (at, seq), walking from the
+// tail: a new event is almost always the latest yet scheduled.
+func (l *slotList) insertSorted(ev *event) {
+	p := l.tail
+	for p != nil && (p.at > ev.at || (p.at == ev.at && p.seq > ev.seq)) {
+		p = p.prev
+	}
+	ev.prev = p
+	if p == nil {
+		ev.next = l.head
+		l.head = ev
+	} else {
+		ev.next = p.next
+		p.next = ev
+	}
+	if ev.next == nil {
+		l.tail = ev
+	} else {
+		ev.next.prev = ev
+	}
+}
+
 func (l *slotList) remove(ev *event) {
 	if ev.prev != nil {
 		ev.prev.next = ev.next
@@ -109,28 +122,22 @@ func (l *slotList) remove(ev *event) {
 	}
 }
 
-// runEntry snapshots an event and its generation at detach time. The
-// generation makes mid-run cancellation safe: Cancel retires the node on
-// the spot (it may even be reissued to a new event before the run loop
-// reaches it), and the stale entry is skipped by the gen check without
-// touching the node again.
-type runEntry struct {
-	ev  *event
-	gen uint64
-}
-
 // wheel is the timing-wheel state of one engine.
 type wheel struct {
 	// cur is the scan cursor: monotone, always <= the earliest pending
 	// event, and the anchor every placement is computed against. It only
-	// advances through findNext, which cascades each window it enters.
+	// advances to a fired event's instant or to a block start that
+	// cascades.
 	cur Time
 
-	pending    int // events queued in the wheel levels
-	inRun      int // live events detached into run, not yet executed
-	spillCount int // events on the spill list
+	// hiNext is a lower bound on every upper-level block start and on
+	// the spill head: placements lower it, cancels leave it low, and
+	// findNext recomputes it when the earliest bucket reaches it.
+	hiNext Time
 
-	spillHead, spillTail *event
+	pending    int // events queued in the wheel levels
+	spillCount int // events on the spill list
+	spill      slotList
 
 	// cascaded and spilled are telemetry: events re-placed downward by a
 	// cascade, and events that landed beyond the wheel horizon.
@@ -138,297 +145,199 @@ type wheel struct {
 	spilled  uint64
 
 	count  [wheelLevels]int
-	bits0  []uint64           // l0Words occupancy words for level 0
-	sum0   [l0SumWords]uint64 // summary: bit w set iff bits0[w] != 0
-	bitsHi [wheelLevels - 1][wheelWords]uint64
-	slots  []slotList // l0Slots + (wheelLevels-1)*wheelSlots, one allocation
-
-	run    []runEntry // same-instant drain scratch, reused across runs
-	runPos int
+	bits0  [l0Words]uint64                     // level-0 occupancy
+	bitsHi [wheelLevels - 1][wheelWords]uint64 // levels 1..3
+	slots  []slotList                          // l0Slots + (wheelLevels-1)*wheelSlots, one allocation
 }
 
 func newWheel() *wheel {
 	return &wheel{
-		bits0: make([]uint64, l0Words),
-		slots: make([]slotList, l0Slots+(wheelLevels-1)*wheelSlots),
+		hiNext: MaxTime,
+		slots:  make([]slotList, l0Slots+(wheelLevels-1)*wheelSlots),
 	}
 }
 
-func (w *wheel) setBit0(idx int) {
-	wd := idx >> 6
-	w.bits0[wd] |= 1 << uint(idx&63)
-	w.sum0[wd>>6] |= 1 << uint(wd&63)
+// bitmap returns the occupancy bitmap of level lvl.
+func (w *wheel) bitmap(lvl int) []uint64 {
+	if lvl == 0 {
+		return w.bits0[:]
+	}
+	return w.bitsHi[lvl-1][:]
 }
 
-func (w *wheel) clearBit0(idx int) {
-	wd := idx >> 6
-	w.bits0[wd] &^= 1 << uint(idx&63)
-	if w.bits0[wd] == 0 {
-		w.sum0[wd>>6] &^= 1 << uint(wd&63)
-	}
-}
-
-func (w *wheel) setBitHi(lvl, idx int)   { w.bitsHi[lvl-1][idx>>6] |= 1 << uint(idx&63) }
-func (w *wheel) clearBitHi(lvl, idx int) { w.bitsHi[lvl-1][idx>>6] &^= 1 << uint(idx&63) }
-
-// scan0 returns the first occupied level-0 slot index >= from. The summary
-// bitmap turns the level-0 word scan (up to l0Words words when the level is
-// sparse) into at most l0SumWords summary probes plus one word probe.
-func (w *wheel) scan0(from int) (int, bool) {
-	word := from >> 6
-	if v := w.bits0[word] >> uint(from&63); v != 0 {
-		return from + bits.TrailingZeros64(v), true
-	}
-	word++
-	sw := word >> 6
-	if sw >= l0SumWords {
-		return 0, false
-	}
-	v := w.sum0[sw] >> uint(word&63) << uint(word&63) // mask words < word
-	for {
-		if v != 0 {
-			wd := sw<<6 + bits.TrailingZeros64(v)
-			return wd<<6 + bits.TrailingZeros64(w.bits0[wd]), true
-		}
-		sw++
-		if sw >= l0SumWords {
-			return 0, false
-		}
-		v = w.sum0[sw]
-	}
-}
-
-// scanHi returns the first occupied slot index >= from at level lvl (1..3).
-func (w *wheel) scanHi(lvl, from int) (int, bool) {
-	if from >= wheelSlots {
-		return 0, false
-	}
-	bm := &w.bitsHi[lvl-1]
+// ringScan returns the first set bit of bm in ring order from bit from:
+// the first occupied slot of a level from the cursor's, which is the
+// level's earliest block. bm must have a bit set and a power-of-two
+// length.
+func ringScan(bm []uint64, from int) int {
 	word := from >> 6
 	if v := bm[word] >> uint(from&63); v != 0 {
-		return from + bits.TrailingZeros64(v), true
+		return from + bits.TrailingZeros64(v)
 	}
-	for word++; word < wheelWords; word++ {
-		if bm[word] != 0 {
-			return word<<6 + bits.TrailingZeros64(bm[word]), true
+	for i := 1; i < len(bm); i++ {
+		wd := (word + i) & (len(bm) - 1)
+		if bm[wd] != 0 {
+			return wd<<6 + bits.TrailingZeros64(bm[wd])
 		}
 	}
-	return 0, false
+	// Wrapped around to the cursor's word: only bits below from remain.
+	return word<<6 + bits.TrailingZeros64(bm[word])
 }
 
-// place files ev into the level and slot selected by its distance from the
-// cursor. Events beyond the level-3 window go to the spill list.
+// head0 returns the earliest level-0 event. Level 0 must hold an event.
+func (w *wheel) head0() *event {
+	return w.slots[ringScan(w.bits0[:], int(uint64(w.cur)>>l0Shift&l0Mask))].head
+}
+
+// firstHi returns level lvl's (1..3) first occupied slot and the start of
+// its block. The level must hold an event.
+func (w *wheel) firstHi(lvl int) (idx int, start Time) {
+	sh := hiShift(lvl)
+	blk := uint64(w.cur) >> sh
+	from := int(blk & wheelMask)
+	idx = ringScan(w.bitsHi[lvl-1][:], from)
+	return idx, Time((blk + uint64((idx-from)&wheelMask)) << sh)
+}
+
+// place files ev into the lowest level whose block distance from the
+// cursor fits. Events beyond the level-3 window go to the spill list.
 func (w *wheel) place(ev *event) {
-	d := uint64(ev.at) ^ uint64(w.cur)
-	var lvl int
-	switch {
-	case d < 1<<l0Bits:
-		idx := int(uint64(ev.at) & l0Mask)
-		w.slots[idx].pushBack(ev)
+	at, cur := uint64(ev.at), uint64(w.cur)
+	if at>>l0Shift-cur>>l0Shift < l0Slots {
+		idx := int(at >> l0Shift & l0Mask)
+		w.slots[idx].insertSorted(ev)
 		ev.slot = int32(idx)
-		w.setBit0(idx)
+		w.bits0[idx>>6] |= 1 << uint(idx&63)
 		w.count[0]++
 		w.pending++
 		return
-	case d < 1<<(l0Bits+wheelBits):
-		lvl = 1
-	case d < 1<<(l0Bits+2*wheelBits):
-		lvl = 2
-	case d < 1<<(l0Bits+3*wheelBits):
-		lvl = 3
-	default:
-		w.placeSpill(ev)
+	}
+	for lvl := 1; lvl < wheelLevels; lvl++ {
+		sh := hiShift(lvl)
+		if at>>sh-cur>>sh >= wheelSlots {
+			continue
+		}
+		idx := int(at >> sh & wheelMask)
+		flat := l0Slots + (lvl-1)*wheelSlots + idx
+		w.slots[flat].pushBack(ev)
+		ev.slot = int32(flat)
+		w.bitsHi[lvl-1][idx>>6] |= 1 << uint(idx&63)
+		w.count[lvl]++
+		w.pending++
+		w.hiNext = min(w.hiNext, Time(at>>sh<<sh))
 		return
 	}
-	idx := int(uint64(ev.at) >> hiShift(lvl) & wheelMask)
-	flat := l0Slots + (lvl-1)*wheelSlots + idx
-	w.slots[flat].pushBack(ev)
-	ev.slot = int32(flat)
-	w.setBitHi(lvl, idx)
-	w.count[lvl]++
-	w.pending++
-}
-
-// placeSpill inserts ev into the sorted beyond-horizon list. The scan runs
-// from the tail: a spill is almost always the latest timer yet scheduled.
-func (w *wheel) placeSpill(ev *event) {
 	w.spilled++
 	w.spillCount++
 	ev.slot = slotSpill
-	p := w.spillTail
-	for p != nil && (p.at > ev.at || (p.at == ev.at && p.seq > ev.seq)) {
-		p = p.prev
-	}
-	if p == nil {
-		ev.prev = nil
-		ev.next = w.spillHead
-		if w.spillHead != nil {
-			w.spillHead.prev = ev
-		} else {
-			w.spillTail = ev
-		}
-		w.spillHead = ev
-	} else {
-		ev.prev = p
-		ev.next = p.next
-		if p.next != nil {
-			p.next.prev = ev
-		} else {
-			w.spillTail = ev
-		}
-		p.next = ev
-	}
+	w.spill.insertSorted(ev)
+	w.hiNext = min(w.hiNext, ev.at)
 }
 
-// unqueue removes a pending event from wherever it lives — wheel slot,
-// spill list, or the detached run — in O(1). Used by Cancel.
+// unqueue removes a pending event from its slot or the spill list in
+// O(1), for Cancel; retire clears the node's links and slot.
 func (w *wheel) unqueue(ev *event) {
-	switch {
-	case ev.slot == slotRun:
-		w.inRun--
-	case ev.slot == slotSpill:
-		if ev.prev != nil {
-			ev.prev.next = ev.next
-		} else {
-			w.spillHead = ev.next
-		}
-		if ev.next != nil {
-			ev.next.prev = ev.prev
-		} else {
-			w.spillTail = ev.prev
-		}
+	if ev.slot == slotSpill {
+		w.spill.remove(ev)
 		w.spillCount--
-	default:
+	} else {
 		s := int(ev.slot)
 		l := &w.slots[s]
 		l.remove(ev)
-		if s < l0Slots {
-			if l.head == nil {
-				w.clearBit0(s)
-			}
-			w.count[0]--
-		} else {
-			r := s - l0Slots
-			lvl := 1 + r>>wheelBits
-			if l.head == nil {
-				w.clearBitHi(lvl, r&wheelMask)
-			}
-			w.count[lvl]--
+		lvl, idx := 0, s
+		if s >= l0Slots {
+			lvl, idx = 1+(s-l0Slots)>>wheelBits, (s-l0Slots)&wheelMask
 		}
+		if l.head == nil {
+			w.bitmap(lvl)[idx>>6] &^= 1 << uint(idx&63)
+		}
+		w.count[lvl]--
 		w.pending--
 	}
-	ev.next, ev.prev = nil, nil
-	ev.slot = slotNone
 }
 
-// findNext advances the cursor to the earliest pending instant <= deadline
-// and reports it, cascading every window boundary it crosses. When the
-// next event lies past the deadline the cursor does not move beyond it, so
-// later placements (anchored at the cursor) stay valid.
-func (w *wheel) findNext(deadline Time) (Time, bool) {
-	for w.pending > 0 || w.spillCount > 0 {
+// pop0 unlinks ev, the head of its level-0 bucket, to fire it. retire
+// clears the node's links and slot.
+func (w *wheel) pop0(ev *event) {
+	s := int(ev.slot)
+	l := &w.slots[s]
+	if l.head = ev.next; l.head == nil {
+		l.tail = nil
+		w.bits0[s>>6] &^= 1 << uint(s&63)
+	} else {
+		l.head.prev = nil
+	}
+	w.count[0]--
+	w.pending--
+}
+
+// earliestHi returns the earliest upper-level block start or spill head,
+// and where it is: level 1..3 and slot, or level wheelLevels for the
+// spill list, or level -1 when there is none. A tie goes to the higher
+// level, though either order is correct.
+func (w *wheel) earliestHi() (lvl, idx int, start Time) {
+	lvl, start = -1, MaxTime
+	for l := 1; l < wheelLevels; l++ {
+		if w.count[l] == 0 {
+			continue
+		}
+		if i, s := w.firstHi(l); s <= start {
+			lvl, idx, start = l, i, s
+		}
+	}
+	if w.spillCount > 0 && w.spill.head.at <= start {
+		lvl, start = wheelLevels, w.spill.head.at
+	}
+	return lvl, idx, start
+}
+
+// findNext returns the earliest pending event if it is due by deadline,
+// cascading every upper-level block (and draining the spill list) that
+// starts at or before it; otherwise nil. The cursor never moves past the
+// deadline, so later placements (anchored at the cursor) stay valid.
+func (w *wheel) findNext(deadline Time) *event {
+	if w.pending == 0 && w.spillCount == 0 {
+		return nil
+	}
+	var ev *event
+	for {
+		ev = nil
 		if w.count[0] > 0 {
-			// The level invariant guarantees this scan finds a slot:
-			// level 0 only holds events in the current window at or
-			// after the cursor.
-			if s, ok := w.scan0(int(uint64(w.cur) & l0Mask)); ok {
-				t := Time(uint64(w.cur)&^uint64(l0Mask) | uint64(s))
-				if t > deadline {
-					return 0, false
-				}
-				w.cur = t
-				return t, true
+			ev = w.head0()
+			if ev.at < w.hiNext {
+				break
 			}
 		}
-		if !w.climb(deadline) {
-			return 0, false
+		lvl, idx, start := w.earliestHi()
+		w.hiNext = start
+		if ev != nil && (lvl < 0 || ev.at < start) {
+			break
 		}
-	}
-	return 0, false
-}
-
-// peek reports the earliest pending instant without moving the cursor or
-// cascading anything, so placements stay anchored where they were. Level 0
-// is scanned from the cursor as in findNext; otherwise the earliest event
-// sits in the first occupied slot ahead of the cursor at the lowest
-// occupied level (higher levels and the spill list only hold later
-// events), and that slot's list is scanned for its minimum.
-func (w *wheel) peek() (Time, bool) {
-	for _, ent := range w.run[w.runPos:] {
-		if ent.ev.gen == ent.gen {
-			return ent.ev.at, true // the rest of a same-instant run
-		}
-	}
-	cur := uint64(w.cur)
-	if w.count[0] > 0 {
-		if s, ok := w.scan0(int(cur & l0Mask)); ok {
-			return Time(cur&^uint64(l0Mask) | uint64(s)), true
-		}
-	}
-	for lvl := 1; lvl < wheelLevels; lvl++ {
-		if w.count[lvl] == 0 {
-			continue
-		}
-		s, ok := w.scanHi(lvl, int(cur>>hiShift(lvl)&wheelMask)+1)
-		if !ok {
-			continue
-		}
-		ev := w.slots[l0Slots+(lvl-1)*wheelSlots+s].head
-		t := ev.at
-		for ; ev != nil; ev = ev.next {
-			t = min(t, ev.at)
-		}
-		return t, true
-	}
-	if w.spillCount > 0 {
-		return w.spillHead.at, true
-	}
-	return 0, false
-}
-
-// climb moves the cursor to the start of the next occupied higher-level
-// slot (lowest occupied level first — higher levels only hold later
-// events) and cascades it down. Returns false when that jump would cross
-// the deadline, leaving the cursor untouched.
-func (w *wheel) climb(deadline Time) bool {
-	cur := uint64(w.cur)
-	for lvl := 1; lvl < wheelLevels; lvl++ {
-		if w.count[lvl] == 0 {
-			continue
-		}
-		shift := hiShift(lvl)
-		s, ok := w.scanHi(lvl, int(cur>>shift&wheelMask)+1)
-		if !ok {
-			continue
-		}
-		span := uint64(1)<<(shift+wheelBits) - 1
-		start := Time(cur&^span | uint64(s)<<shift)
-		if start > deadline {
-			return false
+		if lvl < 0 || start > deadline {
+			return nil
 		}
 		w.cur = start
-		w.cascade(lvl, s)
-		return true
-	}
-	if w.spillCount > 0 {
-		if w.spillHead.at > deadline {
-			return false
+		if lvl == wheelLevels {
+			w.drainSpill()
+		} else {
+			w.cascade(lvl, idx)
 		}
-		w.cur = w.spillHead.at
-		w.drainSpill()
-		return true
 	}
-	return false
+	if ev.at > deadline {
+		return nil
+	}
+	return ev
 }
 
-// cascade re-places every event of one higher-level slot after the cursor
-// entered its range; each lands at least one level lower (the slot's range
-// is the window of the level below), never in the spill list.
-func (w *wheel) cascade(lvl, s int) {
-	l := &w.slots[l0Slots+(lvl-1)*wheelSlots+s]
+// cascade re-places every event of one upper-level slot once the cursor
+// reached its block start; each lands at least one level lower (the
+// block is exactly the window of the level below), never in the spill
+// list.
+func (w *wheel) cascade(lvl, idx int) {
+	l := &w.slots[l0Slots+(lvl-1)*wheelSlots+idx]
 	ev := l.head
 	l.head, l.tail = nil, nil
-	w.clearBitHi(lvl, s)
+	w.bitsHi[lvl-1][idx>>6] &^= 1 << uint(idx&63)
 	k := 0
 	for ev != nil {
 		next := ev.next
@@ -441,70 +350,51 @@ func (w *wheel) cascade(lvl, s int) {
 	w.cascaded += uint64(k)
 }
 
-// drainSpill moves every spill event now inside the wheel horizon into the
-// levels. Only called with the cursor at the spill head's timestamp, so at
-// least the head moves.
+// drainSpill moves every spill event now inside the level-3 window into
+// the levels. Only called with the cursor at the spill head's timestamp,
+// so at least the head moves.
 func (w *wheel) drainSpill() {
-	for ev := w.spillHead; ev != nil && uint64(ev.at)^uint64(w.cur) < wheelHorizon; ev = w.spillHead {
-		w.spillHead = ev.next
-		if w.spillHead != nil {
-			w.spillHead.prev = nil
-		} else {
-			w.spillTail = nil
-		}
-		ev.next, ev.prev = nil, nil
+	sh := hiShift(wheelLevels - 1)
+	for ev := w.spill.head; ev != nil && uint64(ev.at)>>sh-uint64(w.cur)>>sh < wheelSlots; ev = w.spill.head {
+		w.spill.remove(ev)
 		w.spillCount--
 		w.place(ev)
 	}
 }
 
-// detachRun moves the level-0 slot at instant t into the run scratch,
-// sorted by seq. The slot list is seq-sorted by construction; the check
-// catches the one exception (a Stop-requeued remainder behind newer
-// same-instant events) and repairs it.
-func (w *wheel) detachRun(t Time) {
-	s := int(uint64(t) & l0Mask)
-	l := &w.slots[s]
-	sorted := true
-	var lastSeq uint64
-	k := 0
-	for ev := l.head; ev != nil; {
-		next := ev.next
-		ev.next, ev.prev = nil, nil
-		ev.slot = slotRun
-		if k > 0 && ev.seq < lastSeq {
-			sorted = false
-		}
-		lastSeq = ev.seq
-		w.run = append(w.run, runEntry{ev, ev.gen}) //tcnlint:hotpath scratch grows to the largest same-instant run once, then is reused
-		ev = next
-		k++
+// peek reports the earliest pending instant without moving the cursor or
+// cascading anything, so placements stay anchored where they were: the
+// earliest bucket's head, each upper level's first occupied slot scanned
+// for its minimum, and the spill head.
+func (w *wheel) peek() (Time, bool) {
+	t, ok := MaxTime, false
+	if w.count[0] > 0 {
+		t, ok = w.head0().at, true
 	}
-	l.head, l.tail = nil, nil
-	w.clearBit0(s)
-	w.count[0] -= k
-	w.pending -= k
-	w.inRun += k
-	if !sorted {
-		insertionSortRun(w.run)
-	}
-}
-
-// requeueRun puts the unexecuted remainder of a run back into the wheel
-// after Stop; stale (mid-run-canceled) entries are dropped.
-func (w *wheel) requeueRun() {
-	for ; w.runPos < len(w.run); w.runPos++ {
-		ent := w.run[w.runPos]
-		if ent.ev.gen != ent.gen {
+	for lvl := 1; lvl < wheelLevels; lvl++ {
+		if w.count[lvl] == 0 {
 			continue
 		}
-		w.inRun--
-		w.place(ent.ev)
+		idx, start := w.firstHi(lvl)
+		if ok && start >= t {
+			continue
+		}
+		for ev := w.slots[l0Slots+(lvl-1)*wheelSlots+idx].head; ev != nil; ev = ev.next {
+			t = min(t, ev.at)
+		}
+		ok = true
 	}
+	if w.spillCount > 0 && (!ok || w.spill.head.at < t) {
+		t, ok = w.spill.head.at, true
+	}
+	if !ok {
+		return 0, false
+	}
+	return t, true
 }
 
 // sumPending folds every pending event into a pendMix sum: the wheel
-// slots, the spill list, and the live remainder of the current run.
+// slots and the spill list.
 func (w *wheel) sumPending() uint64 {
 	var sum uint64
 	for i := range w.slots {
@@ -512,115 +402,45 @@ func (w *wheel) sumPending() uint64 {
 			sum += pendMix(ev.at, ev.seq)
 		}
 	}
-	for ev := w.spillHead; ev != nil; ev = ev.next {
+	for ev := w.spill.head; ev != nil; ev = ev.next {
 		sum += pendMix(ev.at, ev.seq)
-	}
-	for _, ent := range w.run[w.runPos:] {
-		if ent.ev.gen == ent.gen {
-			sum += pendMix(ent.ev.at, ent.ev.seq)
-		}
 	}
 	return sum
 }
 
-// insertionSortRun sorts a same-instant run by seq. Runs are tiny and
-// nearly sorted when this is ever needed, so insertion sort wins.
-func insertionSortRun(run []runEntry) {
-	for i := 1; i < len(run); i++ {
-		e := run[i]
-		j := i - 1
-		for j >= 0 && run[j].ev.seq > e.ev.seq {
-			run[j+1] = run[j]
-			j--
-		}
-		run[j+1] = e
-	}
-}
-
-// runWheel is RunUntil's loop: find the next occupied instant,
-// detach its whole run, and execute it in seq order. Events a callback
-// schedules at the current instant land back in the slot with larger seq
-// and are drained by the next findNext iteration, preserving the exact
-// (at, seq) total order.
+// runWheel is RunUntil's loop: take the earliest pending event, retire
+// it, and run its callback, one event at a time. Events a callback
+// schedules at the current instant sort into the earliest bucket behind
+// the instant's other events, preserving the exact (at, seq) total order.
 func (e *Engine) runWheel(deadline Time) uint64 {
 	w := e.wheel
 	var n uint64
 	for !e.stopped {
-		t, ok := w.findNext(deadline)
-		if !ok {
+		ev := w.findNext(deadline)
+		if ev == nil {
 			break
 		}
-		s := int(uint64(t) & l0Mask)
-		l := &w.slots[s]
-		if ev := l.head; ev.next == nil {
-			// Single-event instant — the overwhelmingly common case.
-			// Dispatch directly, skipping the run scratch: with one
-			// event there is nothing to order and nothing a mid-run
-			// Cancel could target (the event retires before its
-			// callback runs, so any Cancel of it is already stale).
-			l.head, l.tail = nil, nil
-			w.clearBit0(s)
-			w.count[0]--
-			w.pending--
-			ev.next, ev.prev = nil, nil
-			e.now = t
-			fn, afn, arg := ev.fn, ev.afn, ev.arg
-			e.retire(ev)
-			if afn != nil {
-				afn(arg)
-			} else {
-				fn()
-			}
-			n++
-			e.Executed++
-			if e.postEvent != nil {
-				e.postEvent(e.now, e.Executed)
-			}
-			if e.meter != nil {
-				e.meterPend++
-				if e.meterPend >= meterBatch {
-					e.flushMeter()
-				}
-			}
-			continue
+		w.cur = ev.at
+		w.pop0(ev)
+		e.now = ev.at
+		fn, afn, arg := ev.fn, ev.afn, ev.arg
+		e.retire(ev)
+		if afn != nil {
+			afn(arg)
+		} else {
+			fn()
 		}
-		w.detachRun(t)
-		e.now = t
-		for w.runPos < len(w.run) {
-			ent := w.run[w.runPos]
-			w.runPos++
-			ev := ent.ev
-			if ev.gen != ent.gen {
-				continue // canceled mid-run
-			}
-			w.inRun--
-			fn, afn, arg := ev.fn, ev.afn, ev.arg
-			e.retire(ev)
-			if afn != nil {
-				afn(arg)
-			} else {
-				fn()
-			}
-			n++
-			e.Executed++
-			if e.postEvent != nil {
-				e.postEvent(e.now, e.Executed)
-			}
-			if e.meter != nil {
-				e.meterPend++
-				if e.meterPend >= meterBatch {
-					e.flushMeter()
-				}
-			}
-			if e.stopped {
-				break
+		n++
+		e.Executed++
+		if e.postEvent != nil {
+			e.postEvent(e.now, e.Executed)
+		}
+		if e.meter != nil {
+			e.meterPend++
+			if e.meterPend >= meterBatch {
+				e.flushMeter()
 			}
 		}
-		if e.stopped {
-			w.requeueRun()
-		}
-		w.run = w.run[:0]
-		w.runPos = 0
 	}
 	return n
 }

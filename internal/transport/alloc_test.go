@@ -65,32 +65,43 @@ func TestPoolRoundTrip(t *testing.T) {
 	}
 }
 
-// TestPoolGetPut exercises the pkt.Pool contract directly, including the
-// nil-pool and nil-packet edge cases.
+// TestPoolGetPut exercises the pkt.Pool contract directly: New issues
+// the packet it was given, fresh or recycled, Put and Release return it,
+// and the nil-pool and nil-packet edge cases are harmless.
 func TestPoolGetPut(t *testing.T) {
 	var pl pkt.Pool
-	a := pl.Get()
+	a := pl.New(pkt.Packet{Flow: 7, Size: pkt.AckSize})
 	if pl.Allocs != 1 || pl.Reuses != 0 {
-		t.Fatalf("fresh Get: allocs=%d reuses=%d", pl.Allocs, pl.Reuses)
+		t.Fatalf("fresh New: allocs=%d reuses=%d", pl.Allocs, pl.Reuses)
+	}
+	if a.Flow != 7 || a.Size != pkt.AckSize {
+		t.Fatalf("New issued %v", a)
 	}
 	pl.Put(a)
 	if pl.Live() != 1 {
 		t.Fatalf("Live = %d after Put, want 1", pl.Live())
 	}
-	if b := pl.Get(); b != a {
-		t.Fatal("Get did not return the pooled packet")
+	if b := pl.New(pkt.Packet{Flow: 8}); b != a || b.Flow != 8 || b.Size != 0 {
+		t.Fatalf("New did not reissue the pooled packet whole: %v", b)
 	}
 	if pl.Reuses != 1 {
 		t.Fatalf("Reuses = %d, want 1", pl.Reuses)
 	}
+	a.Release()
+	if pl.Live() != 1 {
+		t.Fatalf("Live = %d after Release, want 1", pl.Live())
+	}
+	pl.New(pkt.Packet{})
 	pl.Put(nil) // no-op
 	if pl.Live() != 0 {
 		t.Fatalf("Put(nil) changed Live to %d", pl.Live())
 	}
 	var nilPool *pkt.Pool
-	if nilPool.Get() == nil {
-		t.Fatal("nil pool Get returned nil")
+	p := nilPool.New(pkt.Packet{})
+	if p == nil {
+		t.Fatal("nil pool New returned nil")
 	}
+	p.Release()                // no pool: left to the garbage collector
 	nilPool.Put(&pkt.Packet{}) // no-op
 	if nilPool.Live() != 0 {
 		t.Fatal("nil pool Live != 0")

@@ -89,8 +89,7 @@ func (r *receiver) sendAck(trigger *pkt.Packet, ce, dup bool) {
 	if f := r.stack.cfg.AckDSCP; f != nil {
 		dscp = f(r.flow)
 	}
-	ack := r.stack.pool.Get()
-	*ack = pkt.Packet{
+	ack := r.stack.pool.New(pkt.Packet{
 		Flow:   r.flow.ID,
 		Src:    r.flow.Dst,
 		Dst:    r.flow.Src,
@@ -102,6 +101,6 @@ func (r *receiver) sendAck(trigger *pkt.Packet, ce, dup bool) {
 		Size:   pkt.AckSize,
 		DSCP:   dscp,
 		SentAt: r.stack.eng.Now(),
-	}
+	})
 	r.stack.send(r.flow.Dst, ack)
 }

@@ -126,8 +126,7 @@ func (snd *Sender) transmit(offset int64) {
 		snd.RetransmitBytes += n
 	}
 	snd.lastTx = snd.stack.eng.Now()
-	p := snd.stack.pool.Get()
-	*p = pkt.Packet{
+	p := snd.stack.pool.New(pkt.Packet{
 		Flow:   snd.flow.ID,
 		Src:    snd.flow.Src,
 		Dst:    snd.flow.Dst,
@@ -138,7 +137,7 @@ func (snd *Sender) transmit(offset int64) {
 		ECN:    snd.stack.ecnCodepoint(),
 		DSCP:   snd.flow.Tag(offset),
 		SentAt: snd.stack.eng.Now(),
-	}
+	})
 	snd.stack.send(snd.flow.Src, p)
 }
 

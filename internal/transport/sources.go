@@ -60,8 +60,7 @@ func (c *CBR) emit() {
 	if c.stop {
 		return
 	}
-	p := c.stack.pool.Get()
-	*p = pkt.Packet{
+	p := c.stack.pool.New(pkt.Packet{
 		Flow:   c.flow.ID,
 		Src:    c.flow.Src,
 		Dst:    c.flow.Dst,
@@ -72,7 +71,7 @@ func (c *CBR) emit() {
 		ECN:    c.stack.ecnCodepoint(),
 		DSCP:   c.flow.Class,
 		SentAt: c.stack.eng.Now(),
-	}
+	})
 	c.off += c.seg
 	c.stack.send(c.flow.Src, p)
 	// Pace the next segment so the payload rate matches.
@@ -130,8 +129,7 @@ func (pg *Pinger) probe() {
 	now := pg.stack.eng.Now()
 	pg.seq++
 	pg.sent[pg.seq] = now
-	p := pg.stack.pool.Get()
-	*p = pkt.Packet{
+	p := pg.stack.pool.New(pkt.Packet{
 		Flow:   pg.flow.ID,
 		Src:    pg.flow.Src,
 		Dst:    pg.flow.Dst,
@@ -140,7 +138,7 @@ func (pg *Pinger) probe() {
 		Size:   pg.size,
 		DSCP:   pg.flow.Class,
 		SentAt: now,
-	}
+	})
 	pg.stack.send(pg.flow.Src, p)
 	pg.stack.eng.After(pg.interval, pg.probeFn)
 }
@@ -178,8 +176,7 @@ func (pg *Pinger) Mean() sim.Time {
 
 // echoPing bounces a probe back to its source through the same class.
 func (s *Stack) echoPing(p *pkt.Packet) {
-	pong := s.pool.Get()
-	*pong = pkt.Packet{
+	pong := s.pool.New(pkt.Packet{
 		Flow:   p.Flow,
 		Src:    p.Dst,
 		Dst:    p.Src,
@@ -188,6 +185,6 @@ func (s *Stack) echoPing(p *pkt.Packet) {
 		Size:   p.Size,
 		DSCP:   p.DSCP,
 		SentAt: s.eng.Now(),
-	}
+	})
 	s.send(p.Dst, pong)
 }

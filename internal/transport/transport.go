@@ -15,6 +15,7 @@ import (
 	"fmt"
 
 	"tcn/internal/fabric"
+	"tcn/internal/invariant"
 	"tcn/internal/obs/prof"
 	"tcn/internal/pkt"
 	"tcn/internal/sim"
@@ -157,8 +158,8 @@ type Stack struct {
 	pingers []*Pinger
 
 	// pool recycles packets along this stack's path: every segment, ACK,
-	// and probe is allocated from it, and deliver returns each packet once
-	// its handler has consumed it. Handlers copy the fields they need and
+	// and probe is issued by its New, deliver returns each packet once
+	// its handler has consumed it, and a port returns each it drops. Handlers copy the fields they need and
 	// never retain the pointer, so the packet is dead when deliver's
 	// dispatch returns. The pool is engine-local, like the engine's event
 	// freelist — never shared across goroutines.
@@ -285,6 +286,9 @@ func (s *Stack) StartAt(t sim.Time, f *Flow) {
 // recycles it: handlers copy out what they need, so after the dispatch the
 // packet is owned by no one and goes back to the pool.
 func (s *Stack) deliver(p *pkt.Packet) {
+	if invariant.Enabled {
+		invariant.Checkf(!p.Poisoned(), "transport: delivering packet %p after its release", p)
+	}
 	switch p.Kind {
 	case pkt.Data:
 		if s.prof != nil {
