@@ -125,7 +125,7 @@ func TestPacketPathZeroAllocWithFingerprintAttached(t *testing.T) {
 	eng.After(0, tick)
 	// Fine mode armed far in the future: the steady-state cost of fine
 	// support is one boolean test per event, and it must stay free too.
-	eng.SetPostEvent(func(now sim.Time, executed uint64) { sc.FineSnapshot(executed, int64(now)) })
+	eng.AddPostEvent(func(now sim.Time, executed uint64) { sc.FineSnapshot(executed, int64(now)) })
 
 	st := transport.NewStack(eng, transport.Config{CC: transport.DCTCP}, star.Hosts)
 	st.Start(&transport.Flow{ID: st.NewFlowID(), Src: 0, Dst: 1, Size: 1 << 40})

@@ -366,7 +366,7 @@ func BenchmarkPacketPathFingerprinted(b *testing.B) {
 		eng.After(sim.Millisecond, tick)
 	}
 	eng.After(0, tick)
-	eng.SetPostEvent(func(now sim.Time, executed uint64) { sc.FineSnapshot(executed, int64(now)) })
+	eng.AddPostEvent(func(now sim.Time, executed uint64) { sc.FineSnapshot(executed, int64(now)) })
 	st := transport.NewStack(eng, transport.Config{CC: transport.DCTCP}, star.Hosts)
 	st.Start(&transport.Flow{ID: st.NewFlowID(), Src: 0, Dst: 1, Size: 1 << 40})
 	eng.RunUntil(50 * sim.Millisecond) // warm pools past slow start

@@ -35,3 +35,7 @@ func (k EventKind) String() string {
 		return fmt.Sprintf("kind(%d)", uint8(k))
 	}
 }
+
+// MarshalText renders the kind by its String name, so JSON exports carry
+// "mark" rather than 1.
+func (k EventKind) MarshalText() ([]byte, error) { return []byte(k.String()), nil }

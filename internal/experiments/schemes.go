@@ -85,8 +85,6 @@ type PortParams struct {
 	PerQueueBuffer int
 	// Quantum is the DWRR quantum per queue in bytes.
 	Quantum int
-	// WFQWeight is the per-queue WFQ weight (all equal).
-	WFQWeight float64
 
 	// RTTLambda is RTT×λ; it sets the TCN threshold and, with the line
 	// rate, the standard RED threshold.
@@ -105,8 +103,6 @@ type PortParams struct {
 	TIdle sim.Time
 	// OracleK lists per-queue thresholds for SchemeOracle.
 	OracleK []int
-	// HWResolution is the HWTCN clock tick (0 = 8ns).
-	HWResolution sim.Time
 
 	// OnMQECNEstimate and OnDynREDSample, if set, receive estimator
 	// traces from the built markers (Figure 2). They are attached to
@@ -145,11 +141,7 @@ func (p PortParams) NewMarker(s Scheme, sc sched.Scheduler, rng *sim.Rand) core.
 	case SchemeTCN:
 		return core.NewTCN(p.RTTLambda)
 	case SchemeTCNHW:
-		res := p.HWResolution
-		if res == 0 {
-			res = 8 * sim.Nanosecond
-		}
-		return core.NewHWTCN(core.NewHWClock(res), p.RTTLambda)
+		return core.NewHWTCN(core.NewHWClock(8*sim.Nanosecond), p.RTTLambda)
 	case SchemeCoDel:
 		return aqm.NewCoDel(p.Queues, p.CoDelTarget, p.CoDelInterval)
 	case SchemeMQECN:

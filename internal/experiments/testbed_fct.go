@@ -28,10 +28,6 @@ type TestbedFCTConfig struct {
 	Flows int
 	// PIAS enables the two-priority tagging (requires an SP scheduler).
 	PIAS bool
-	// FreshConns submits every flow on its own connection (ns-2
-	// semantics) instead of the client's warm connection pools. Needed
-	// by disciplines whose rank depends on per-flow byte offsets (LAS).
-	FreshConns bool
 	// PartitionBuffer statically splits the 96 KB port buffer equally
 	// among the queues instead of sharing it (buffer-model ablation).
 	PartitionBuffer bool
@@ -166,37 +162,18 @@ func RunTestbedFCT(cfg TestbedFCTConfig) TestbedFCTResult {
 
 	// The paper's client pre-opens 5 persistent connections per server
 	// and submits each flow (message) on an idle one, so congestion
-	// state persists across flows. FreshConns switches to one
-	// connection per flow.
-	if cfg.FreshConns {
-		st.OnDone = func(f *transport.Flow) {
-			col.Record(metrics.FlowRecord{Size: f.Size, FCT: f.FCT(), Class: f.Class, Timeouts: f.Timeouts})
+	// state persists across flows.
+	pool := transport.NewPool(st, 5)
+	for _, spec := range plan {
+		spec := spec
+		m := &transport.Message{Size: spec.Size, Class: spec.Class}
+		if cfg.PIAS {
+			// Service queues sit above the strict queue: class c maps
+			// to queue c+1; the first 100 KB go to queue 0.
+			m.Class = spec.Class + 1
+			m.Tag = pias.Tag(0, spec.Class+1, pias.DefaultThreshold)
 		}
-		for _, spec := range plan {
-			f := &transport.Flow{
-				ID: st.NewFlowID(), Src: spec.Src, Dst: spec.Dst,
-				Size: spec.Size, Class: spec.Class,
-			}
-			if cfg.PIAS {
-				f.Class = spec.Class + 1
-				f.Tag = pias.Tag(0, spec.Class+1, pias.DefaultThreshold)
-			}
-			st.StartAt(spec.At, f)
-		}
-	} else {
-		pool := transport.NewPool(st, 5)
-		for _, spec := range plan {
-			spec := spec
-			m := &transport.Message{Size: spec.Size, Class: spec.Class}
-			if cfg.PIAS {
-				// Service queues sit above the strict queue:
-				// class c maps to queue c+1; the first 100 KB
-				// go to queue 0.
-				m.Class = spec.Class + 1
-				m.Tag = pias.Tag(0, spec.Class+1, pias.DefaultThreshold)
-			}
-			eng.At(spec.At, func() { pool.Submit(spec.Src, spec.Dst, m) })
-		}
+		eng.At(spec.At, func() { pool.Submit(spec.Src, spec.Dst, m) })
 	}
 
 	deadline := cfg.Deadline

@@ -361,75 +361,6 @@ func TestPortStateInterface(t *testing.T) {
 	}
 }
 
-func TestDumbbellRoutingAndBottleneck(t *testing.T) {
-	eng := sim.NewEngine()
-	db := NewDumbbell(eng, DumbbellConfig{
-		LeftHosts: 3, RightHosts: 2,
-		EdgeRate: 10 * Gbps, CoreRate: Gbps,
-		SwitchPort: func() PortConfig { return PortConfig{Queues: 1} },
-	})
-	hosts := db.Hosts()
-	if len(hosts) != 5 {
-		t.Fatalf("hosts = %d", len(hosts))
-	}
-	got := map[int]int{}
-	for i, h := range hosts {
-		i := i
-		h.Handler = func(p *pkt.Packet) { got[i]++ }
-	}
-	// Left-to-left stays local (1 switch), cross traffic takes 2.
-	p1 := &pkt.Packet{Src: 0, Dst: 2, Size: 100}
-	hosts[0].Send(p1)
-	p2 := &pkt.Packet{Src: 0, Dst: 4, Size: 100}
-	hosts[0].Send(p2)
-	p3 := &pkt.Packet{Src: 4, Dst: 1, Size: 100}
-	hosts[4].Send(p3)
-	eng.Run()
-	if got[2] != 1 || got[4] != 1 || got[1] != 1 {
-		t.Fatalf("deliveries: %v", got)
-	}
-	if p1.Hops != 1 || p2.Hops != 2 || p3.Hops != 2 {
-		t.Fatalf("hops: %d %d %d", p1.Hops, p2.Hops, p3.Hops)
-	}
-	// The bottleneck port carried exactly the left-to-right packet.
-	if db.Bottleneck().TxPackets[0] != 1 {
-		t.Fatalf("bottleneck carried %d packets", db.Bottleneck().TxPackets[0])
-	}
-	if db.Bottleneck().Rate() != Gbps {
-		t.Fatalf("bottleneck rate %v", db.Bottleneck().Rate())
-	}
-}
-
-func TestDumbbellCongestionAtCore(t *testing.T) {
-	// Two 10G senders share the 1G core: queueing happens at the core
-	// port only.
-	eng := sim.NewEngine()
-	db := NewDumbbell(eng, DumbbellConfig{
-		LeftHosts: 2, RightHosts: 1,
-		EdgeRate: 10 * Gbps, CoreRate: Gbps,
-		SwitchPort: func() PortConfig { return PortConfig{Queues: 1} },
-	})
-	for i := 0; i < 20; i++ {
-		db.Left[0].Send(&pkt.Packet{Src: 0, Dst: 2, Size: 1500})
-		db.Left[1].Send(&pkt.Packet{Src: 1, Dst: 2, Size: 1500})
-	}
-	maxQ := 0
-	var poll func()
-	poll = func() {
-		if q := db.Bottleneck().PortBytes(); q > maxQ {
-			maxQ = q
-		}
-		if eng.Len() > 1 {
-			eng.After(sim.Microsecond, poll)
-		}
-	}
-	eng.After(10*sim.Microsecond, poll)
-	eng.Run()
-	if maxQ < 10_000 {
-		t.Fatalf("core queue never built: %d", maxQ)
-	}
-}
-
 // TestCheckConservationReportsUnbalancedPort unbalances one queue's
 // transmit tally by hand and expects the switch check to name the
 // switch, port and queue.

@@ -37,9 +37,6 @@ func NewHost(eng *sim.Engine, id int, delay sim.Time) *Host {
 // SetNIC installs the host's egress port.
 func (h *Host) SetNIC(p *Port) { h.nic = p }
 
-// NIC returns the host's egress port.
-func (h *Host) NIC() *Port { return h.nic }
-
 // Send pushes a packet from this host into the network.
 func (h *Host) Send(p *pkt.Packet) {
 	if h.nic == nil {

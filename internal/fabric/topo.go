@@ -31,8 +31,6 @@ type StarConfig struct {
 	// HostDelay is the receive-side processing delay per host, used to
 	// reach the experiment's base RTT.
 	HostDelay sim.Time
-	// HostBufferBytes bounds the NIC egress queue; 0 = unlimited.
-	HostBufferBytes int
 	// SwitchPort configures each switch egress port.
 	SwitchPort PortFactory
 }
@@ -49,13 +47,8 @@ func NewStar(eng *sim.Engine, cfg StarConfig) *Star {
 	st := &Star{Eng: eng, Switch: NewSwitch(eng, 0)}
 	for i := 0; i < cfg.Hosts; i++ {
 		h := NewHost(eng, i, cfg.HostDelay)
-		// Host NIC: single FIFO queue toward the switch.
-		h.SetNIC(NewPort(eng, PortConfig{
-			Rate:        cfg.Rate,
-			PropDelay:   cfg.Prop,
-			Queues:      1,
-			BufferBytes: cfg.HostBufferBytes,
-		}, st.Switch))
+		// Host NIC: single unbounded FIFO queue toward the switch.
+		h.SetNIC(NewPort(eng, PortConfig{Rate: cfg.Rate, PropDelay: cfg.Prop, Queues: 1}, st.Switch))
 		st.Hosts = append(st.Hosts, h)
 
 		pc := cfg.SwitchPort()
@@ -93,8 +86,6 @@ type LeafSpineConfig struct {
 	// HostDelay is the receive-side host processing delay (the paper's
 	// 85.2 us base RTT has 80 us at the end hosts).
 	HostDelay sim.Time
-	// HostBufferBytes bounds NIC queues; 0 = unlimited.
-	HostBufferBytes int
 	// SwitchPort configures every switch egress port.
 	SwitchPort PortFactory
 }
@@ -128,12 +119,7 @@ func NewLeafSpine(eng *sim.Engine, cfg LeafSpineConfig) *LeafSpine {
 		for k := 0; k < hpl; k++ {
 			id := l*hpl + k
 			h := NewHost(eng, id, cfg.HostDelay)
-			h.SetNIC(NewPort(eng, PortConfig{
-				Rate:        cfg.HostRate,
-				PropDelay:   cfg.Prop,
-				Queues:      1,
-				BufferBytes: cfg.HostBufferBytes,
-			}, leaf))
+			h.SetNIC(NewPort(eng, PortConfig{Rate: cfg.HostRate, PropDelay: cfg.Prop, Queues: 1}, leaf))
 			ls.Hosts = append(ls.Hosts, h)
 
 			pc := cfg.SwitchPort()
@@ -202,116 +188,4 @@ func (ls *LeafSpine) SwitchPorts() []*Port {
 		}
 	}
 	return ps
-}
-
-// Dumbbell is the classic two-switch bottleneck: Left hosts attach to one
-// switch, Right hosts to the other, and a single inter-switch link is the
-// only shared resource. Useful for isolating a marking scheme on exactly
-// one congested port.
-type Dumbbell struct {
-	Eng         *sim.Engine
-	Left, Right []*Host
-	LeftSwitch  *Switch
-	RightSwitch *Switch
-}
-
-// DumbbellConfig parameterizes a dumbbell topology.
-type DumbbellConfig struct {
-	// LeftHosts and RightHosts size the two sides.
-	LeftHosts, RightHosts int
-	// EdgeRate is the host-switch link rate; CoreRate the bottleneck.
-	EdgeRate, CoreRate Rate
-	// Prop is the one-way propagation delay per link.
-	Prop sim.Time
-	// HostDelay is the receive-side processing delay per host.
-	HostDelay sim.Time
-	// HostBufferBytes bounds NIC queues; 0 = unlimited.
-	HostBufferBytes int
-	// SwitchPort configures every switch egress port (host-facing and
-	// the two bottleneck directions alike).
-	SwitchPort PortFactory
-}
-
-// NewDumbbell builds the topology. Host ids: left hosts are
-// [0, LeftHosts), right hosts [LeftHosts, LeftHosts+RightHosts). Each
-// switch's ports are its local host ports in id order, then the port
-// toward the other switch.
-func NewDumbbell(eng *sim.Engine, cfg DumbbellConfig) *Dumbbell {
-	switch {
-	case cfg.LeftHosts < 1 || cfg.RightHosts < 1:
-		panic(fmt.Sprintf("fabric: dumbbell needs hosts on both sides, got %d/%d",
-			cfg.LeftHosts, cfg.RightHosts))
-	case cfg.SwitchPort == nil:
-		panic("fabric: dumbbell needs a switch port factory")
-	}
-	db := &Dumbbell{
-		Eng:         eng,
-		LeftSwitch:  NewSwitch(eng, 0),
-		RightSwitch: NewSwitch(eng, 1),
-	}
-	attach := func(sw *Switch, id int) *Host {
-		h := NewHost(eng, id, cfg.HostDelay)
-		h.SetNIC(NewPort(eng, PortConfig{
-			Rate:        cfg.EdgeRate,
-			PropDelay:   cfg.Prop,
-			Queues:      1,
-			BufferBytes: cfg.HostBufferBytes,
-		}, sw))
-		pc := cfg.SwitchPort()
-		if pc.Rate == 0 {
-			pc.Rate = cfg.EdgeRate
-		}
-		if pc.PropDelay == 0 {
-			pc.PropDelay = cfg.Prop
-		}
-		sw.AddPort(NewPort(eng, pc, h))
-		return h
-	}
-	for i := 0; i < cfg.LeftHosts; i++ {
-		db.Left = append(db.Left, attach(db.LeftSwitch, i))
-	}
-	for i := 0; i < cfg.RightHosts; i++ {
-		db.Right = append(db.Right, attach(db.RightSwitch, cfg.LeftHosts+i))
-	}
-	// The bottleneck, both directions.
-	core := func(from, to *Switch) int {
-		pc := cfg.SwitchPort()
-		if pc.Rate == 0 {
-			pc.Rate = cfg.CoreRate
-		} else if cfg.CoreRate != 0 {
-			pc.Rate = cfg.CoreRate
-		}
-		if pc.PropDelay == 0 {
-			pc.PropDelay = cfg.Prop
-		}
-		return from.AddPort(NewPort(eng, pc, to))
-	}
-	leftUp := core(db.LeftSwitch, db.RightSwitch)
-	rightUp := core(db.RightSwitch, db.LeftSwitch)
-
-	nLeft := cfg.LeftHosts
-	db.LeftSwitch.SetRoute(func(p *pkt.Packet) int {
-		if p.Dst < nLeft {
-			return p.Dst
-		}
-		return leftUp
-	})
-	db.RightSwitch.SetRoute(func(p *pkt.Packet) int {
-		if p.Dst >= nLeft {
-			return p.Dst - nLeft
-		}
-		return rightUp
-	})
-	return db
-}
-
-// Hosts returns all hosts, left side first (index = host id).
-func (db *Dumbbell) Hosts() []*Host {
-	return append(append([]*Host{}, db.Left...), db.Right...)
-}
-
-// Bottleneck returns the left-to-right core port (the congested direction
-// for left-to-right traffic).
-func (db *Dumbbell) Bottleneck() *Port {
-	return db.LeftSwitch.Port(db.LeftSwitch.NumPorts() - 1)
 }

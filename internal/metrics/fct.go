@@ -60,9 +60,6 @@ func NewStreamingFCTCollector(compression float64) *FCTCollector {
 	return &FCTCollector{streaming: true, small: NewTDigest(compression)}
 }
 
-// Streaming reports whether the collector discards per-flow records.
-func (c *FCTCollector) Streaming() bool { return c.streaming }
-
 // Record adds one completed flow. The running integer tallies are kept in
 // both modes (exact-mode Stats still recomputes from the records; the
 // tallies exist so the run fingerprint reacts to every completion), but

@@ -92,9 +92,6 @@ func (g *GoodputMeter) AvgMbpsBetween(class int, from, to sim.Time) float64 {
 	return float64(n) * 8 / span.Seconds() / 1e6
 }
 
-// BinDuration returns the meter's bin width.
-func (g *GoodputMeter) BinDuration() sim.Time { return g.bin }
-
 // Sample is one point of a time series. Periodic polling itself now
 // lives in internal/obs/flight (Recorder.Probe), which supersedes the
 // Sampler this package used to provide.

@@ -260,9 +260,6 @@ func (p *Profiler) Totals() (events uint64, simNs int64) {
 	return events, simNs
 }
 
-// Frames returns the number of distinct interned scope names.
-func (p *Profiler) Frames() int { return len(p.frames) }
-
 // Nodes returns the number of scope-tree nodes (distinct stacks reached).
 func (p *Profiler) Nodes() int { return len(p.nodes) }
 

@@ -40,6 +40,10 @@ func (e ECN) String() string {
 	}
 }
 
+// MarshalText renders the codepoint by its String name, so JSON exports
+// carry "CE" rather than 3.
+func (e ECN) MarshalText() ([]byte, error) { return []byte(e.String()), nil }
+
 // ECNCapable reports whether a marker is allowed to set CE on this
 // codepoint. CE packets stay CE.
 func (e ECN) ECNCapable() bool { return e == ECT0 || e == ECT1 || e == CE }

@@ -123,9 +123,6 @@ func (b *Buffer) Bytes(i int) int { return b.queues[i].Bytes() }
 // Used returns the total bytes buffered across all queues of the port.
 func (b *Buffer) Used() int { return b.used }
 
-// SharedCap returns the shared pool size in bytes (0 = unlimited).
-func (b *Buffer) SharedCap() int { return b.sharedCap }
-
 // Head returns the head packet of queue i, or nil.
 func (b *Buffer) Head(i int) *pkt.Packet { return b.queues[i].Head() }
 

@@ -68,10 +68,6 @@ func (s *SPOver) OnDequeue(now sim.Time, i int, p *pkt.Packet) {
 	}
 }
 
-// Inner exposes the low-priority discipline, e.g. so MQ-ECN can reach the
-// DWRR round state of an SP/DWRR composite.
-func (s *SPOver) Inner() Scheduler { return s.inner }
-
 // HighQueues returns the number of strict-priority queues.
 func (s *SPOver) HighQueues() int { return s.high }
 

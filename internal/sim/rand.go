@@ -52,9 +52,6 @@ func (r *Rand) Shuffle(n int, swap func(i, j int)) {
 	r.Rand.Shuffle(n, swap)
 }
 
-// Draws returns the number of sampling calls served so far.
-func (r *Rand) Draws() uint64 { return r.draws }
-
 // DigestState folds the stream identity into a run fingerprint: the seed
 // and the cumulative draw count. A divergence in the "rand" component
 // means the two runs consumed randomness differently — almost always the

@@ -164,7 +164,7 @@ type Engine struct {
 	// postEvent, when set, runs after every executed event — the hook the
 	// run-fingerprinting fine mode uses to digest per-event state and the
 	// cost profiler uses to attribute elapsed sim-time. Costs one nil
-	// check per event when unset; see SetPostEvent and AddPostEvent.
+	// check per event when unset; see AddPostEvent.
 	postEvent PostEventHook
 
 	// tickers lists the running Every tickers. Each has exactly one tick
@@ -386,21 +386,17 @@ func (e *Engine) Stop() { e.stopped = true }
 // the per-event path.
 type PostEventHook func(now Time, executed uint64)
 
-// SetPostEvent installs fn to run after every executed event, replacing
-// any previous hook (nil uninstalls). The hook runs with the clock at the
-// event's timestamp, after the event's callback and counters; it must not
-// schedule, cancel, or otherwise perturb the model — it exists so
-// observers that need per-event granularity (the fingerprint recorder's
-// fine mode, the cost profiler's deterministic plane) can read state
-// between events. Hooks are not part of DigestState: attaching one cannot
-// change a run's fingerprint unless the hook itself perturbs the model.
-func (e *Engine) SetPostEvent(fn PostEventHook) { e.postEvent = fn }
-
-// AddPostEvent chains fn after any hook already installed, so independent
-// per-event observers (fine-mode fingerprinting and the profiler, say)
-// can coexist. Composition happens here, at attach time: the hot loop
-// still pays exactly one nil check and one indirect call per event.
-// Passing nil is a no-op.
+// AddPostEvent installs fn to run after every executed event, chained
+// after any hook already installed, so independent per-event observers
+// (fine-mode fingerprinting and the profiler, say) can coexist. The hook
+// runs with the clock at the event's timestamp, after the event's
+// callback and counters; it must not schedule, cancel, or otherwise
+// perturb the model — it exists so observers that need per-event
+// granularity can read state between events. Hooks are not part of
+// DigestState: attaching one cannot change a run's fingerprint unless the
+// hook itself perturbs the model. Composition happens here, at attach
+// time: the hot loop still pays exactly one nil check and one indirect
+// call per event. Passing nil is a no-op.
 func (e *Engine) AddPostEvent(fn PostEventHook) {
 	if fn == nil {
 		return

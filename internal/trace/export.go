@@ -6,20 +6,6 @@ import (
 	"io"
 )
 
-// eventJSON is the NDJSON wire form of an Event. Field order is fixed
-// by the struct, so exports are deterministic for identical traces.
-type eventJSON struct {
-	At    int64  `json:"at_ns"`
-	Kind  string `json:"kind"`
-	Where string `json:"where"`
-	Queue int    `json:"queue"`
-	Flow  int32  `json:"flow"`
-	Seq   int64  `json:"seq"`
-	Size  int    `json:"size"`
-	DSCP  uint8  `json:"dscp"`
-	ECN   string `json:"ecn"`
-}
-
 // WriteJSONL dumps the retained events, oldest first, as newline-
 // delimited JSON (one event per line) for offline analysis. Counters
 // are exact even after eviction, so a trailing summary line carries
@@ -27,18 +13,9 @@ type eventJSON struct {
 func (t *Tracer) WriteJSONL(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	enc := json.NewEncoder(bw)
-	for _, e := range t.Events() {
-		if err := enc.Encode(eventJSON{
-			At:    int64(e.At),
-			Kind:  e.Kind.String(),
-			Where: e.Where,
-			Queue: e.Queue,
-			Flow:  int32(e.Flow),
-			Seq:   e.Seq,
-			Size:  e.Size,
-			DSCP:  e.DSCP,
-			ECN:   e.ECN.String(),
-		}); err != nil {
+	events := t.Events()
+	for _, e := range events {
+		if err := enc.Encode(e); err != nil {
 			return err
 		}
 	}
@@ -48,7 +25,7 @@ func (t *Tracer) WriteJSONL(w io.Writer) error {
 		Mark     int64 `json:"mark"`
 		Drop     int64 `json:"drop"`
 		Retained int   `json:"retained"`
-	}{true, t.Count(Transmit), t.Count(Mark), t.Count(Drop), len(t.Events())}
+	}{true, t.Count(Transmit), t.Count(Mark), t.Count(Drop), len(events)}
 	if err := enc.Encode(summary); err != nil {
 		return err
 	}

@@ -5,7 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 
 	"tcn/internal/core"
 	"tcn/internal/digest"
@@ -15,31 +15,24 @@ import (
 	"tcn/internal/sim"
 )
 
-// VerdictEvent is one retained marking/dropping decision: the packet's
-// identity plus the full verdict (rule, stage, and the instantaneous
-// inputs the rule consulted), copied by value so the record stays valid
-// after the scratch verdict is reused.
+// VerdictEvent is the labelled view of one retained marking/dropping
+// decision: the packet event (Kind says what became of the packet) plus
+// the full verdict (rule, stage, and the inputs the rule consulted).
 type VerdictEvent struct {
-	At    sim.Time
-	Where string // port label
-	Queue int
-
-	Flow pkt.FlowID
-	Seq  int64
-	Size int
-
+	Event
 	V core.Verdict
 }
 
-// ledgerKey addresses one exact counter: a (port, queue, reason) cell.
-type ledgerKey struct {
-	where  string
-	queue  int
-	reason core.Reason
+// ledgerEntry is one ledger ring slot: the shared record plus the verdict,
+// copied by value so the entry stays valid after the scratch verdict is
+// reused. Pointer-free, like the record.
+type ledgerEntry struct {
+	record
+	v core.Verdict
 }
 
-// ledgerCell is the mutable state behind one key. The obs counter is
-// created once, on the cell's first verdict, so steady-state recording
+// ledgerCell is one exact (label, queue, reason) counter. The obs counter
+// is created on the cell's first verdict, so steady-state recording
 // allocates nothing.
 type ledgerCell struct {
 	n int64
@@ -47,58 +40,62 @@ type ledgerCell struct {
 }
 
 // Ledger retains recent verdicts in a bounded ring and keeps exact
-// per-(port, queue, reason) counters regardless of eviction — the
-// decision-side mirror of Tracer's transmission-side counts. Attach it to
-// every port of a single-switch topology and the marked/dropped totals
-// reconcile exactly with the tracer's mark/drop counters (multi-hop
-// fabrics transmit a CE-marked packet once per hop, so there the tracer
-// counts ≥ the ledger's decisions).
+// per-(label, queue, reason) counters regardless of eviction — the
+// decision-side mirror of Tracer's counts; ports attached under one label
+// share counters. On a single switch the marked/dropped totals equal the
+// tracer's mark/drop counts (multi-hop fabrics transmit a CE-marked packet
+// once per hop, so there the tracer counts more).
 type Ledger struct {
-	ring ring[VerdictEvent]
+	ring  ring[ledgerEntry]
+	ports portTable
 
-	cells map[ledgerKey]*ledgerCell
+	// cells[label][queue*core.NumReasons+reason] is the exact counter of
+	// one cell; a label's slice grows on the first verdict past its end.
+	cells [][]ledgerCell
 	reg   *obs.Registry
 
 	marked  int64
 	dropped int64
 
-	// reasons totals every verdict by reason in a fixed-size array so the
-	// run fingerprint can digest exact decision counts without ranging the
-	// cells map (map order is nondeterministic; the array is not).
+	// reasons totals every verdict by reason, for ReasonTotal and the run
+	// fingerprint.
 	reasons [core.NumReasons]int64
 }
 
 // NewLedger returns a ledger retaining up to capacity verdicts.
 func NewLedger(capacity int) *Ledger {
-	return &Ledger{
-		ring:  newRing[VerdictEvent](capacity),
-		cells: map[ledgerKey]*ledgerCell{},
-	}
+	return &Ledger{ring: newRing[ledgerEntry](capacity)}
 }
 
 // Instrument mirrors every per-(port, queue, reason) count into r as
 // counters named "<where>.q<i>.verdicts.<Reason>". Call before attaching
-// ports; cells created afterwards pick the registry up lazily.
+// ports; cells populated afterwards pick the registry up lazily.
 func (l *Ledger) Instrument(r *obs.Registry) { l.reg = r }
 
-// cell resolves (and on first use creates) the counter cell for a key.
-func (l *Ledger) cell(k ledgerKey) *ledgerCell {
-	if c, ok := l.cells[k]; ok {
-		return c
+// cell resolves the counter of a (label, queue, reason) cell, growing the
+// label's cells on first use.
+func (l *Ledger) cell(label int32, qi int, r core.Reason) *ledgerCell {
+	for int(label) >= len(l.cells) {
+		l.cells = append(l.cells, nil) //tcnlint:hotpath grows once per label
 	}
-	c := &ledgerCell{}
-	if l.reg != nil {
-		//tcnlint:hotpath cell creation runs once per (where, queue, reason) key; steady state hits the map above
-		c.c = l.reg.Counter(fmt.Sprintf("%s.q%d.verdicts.%s", k.where, k.queue, k.reason))
+	i := qi*core.NumReasons + int(r)
+	if cs := l.cells[label]; i >= len(cs) {
+		l.cells[label] = append(cs, make([]ledgerCell, i+1-len(cs))...) //tcnlint:hotpath grows once per (label, queue)
 	}
-	l.cells[k] = c
-	return c
+	return &l.cells[label][i]
 }
 
-// Record folds one decisive verdict into the ledger. The verdict is
-// copied; the caller may reuse it immediately.
-func (l *Ledger) Record(now sim.Time, where string, qi int, p *pkt.Packet, v *core.Verdict) {
-	c := l.cell(ledgerKey{where: where, queue: qi, reason: v.Reason})
+func (l *Ledger) transmit(sim.Time, int32, int, *pkt.Packet) {}
+
+// verdict folds one decisive verdict into the ledger. The verdict is
+// copied; the port may reuse it immediately.
+func (l *Ledger) verdict(now sim.Time, port int32, qi int, p *pkt.Packet, v *core.Verdict) {
+	label := l.ports.ports[port].label
+	c := l.cell(label, qi, v.Reason)
+	if c.n == 0 && l.reg != nil {
+		//tcnlint:hotpath runs once per (label, queue, reason) cell, at its first verdict
+		c.c = l.reg.Counter(fmt.Sprintf("%s.q%d.verdicts.%s", l.ports.labels[label], qi, v.Reason))
+	}
 	c.n++
 	l.reasons[v.Reason]++
 	if c.c != nil {
@@ -110,35 +107,40 @@ func (l *Ledger) Record(now sim.Time, where string, qi int, p *pkt.Packet, v *co
 	if v.Dropped {
 		l.dropped++
 	}
-	l.ring.push(VerdictEvent{
-		At: now, Where: where, Queue: qi,
-		Flow: p.Flow, Seq: p.Seq, Size: p.Size,
-		V: *v,
-	})
+	kind := Transmit
+	switch {
+	case v.Dropped:
+		kind = Drop
+	case v.Marked:
+		kind = Mark
+	}
+	r := newRecord(now, kind, port, qi, p)
+	r.reason = v.Reason
+	l.ring.push(ledgerEntry{record: r, v: *v})
 }
 
 // Events returns the retained verdicts in chronological order.
-func (l *Ledger) Events() []VerdictEvent { return l.ring.ordered() }
+func (l *Ledger) Events() []VerdictEvent {
+	return ordered(&l.ring, func(e *ledgerEntry) VerdictEvent {
+		return VerdictEvent{Event: l.ports.event(&e.record), V: e.v}
+	})
+}
 
 // Count returns the exact number of verdicts recorded for a (port,
 // queue, reason) cell, eviction notwithstanding.
 func (l *Ledger) Count(where string, queue int, reason core.Reason) int64 {
-	if c, ok := l.cells[ledgerKey{where: where, queue: queue, reason: reason}]; ok {
-		return c.n
-	}
-	return 0
+	var n int64
+	_ = l.eachCell(func(w string, q int, r core.Reason, c int64) error {
+		if w == where && q == queue && r == reason {
+			n = c
+		}
+		return nil
+	})
+	return n
 }
 
 // ReasonTotal sums a reason's count across all ports and queues.
-func (l *Ledger) ReasonTotal(reason core.Reason) int64 {
-	var t int64
-	for k, c := range l.cells {
-		if k.reason == reason {
-			t += c.n
-		}
-	}
-	return t
-}
+func (l *Ledger) ReasonTotal(reason core.Reason) int64 { return l.reasons[reason] }
 
 // Marked returns the exact number of verdicts that applied CE.
 func (l *Ledger) Marked() int64 { return l.marked }
@@ -149,7 +151,7 @@ func (l *Ledger) Dropped() int64 { return l.dropped }
 // DigestState folds the ledger's exact decision totals into a run
 // fingerprint: marked/dropped, the per-reason totals array, and the ring
 // cursor. Retained events are not digested individually — the reason
-// totals change on every Record, so any divergence in decision history
+// totals change on every verdict, so any divergence in decision history
 // moves the digest at the epoch it happens.
 func (l *Ledger) DigestState(h *digest.Hash) {
 	h.WriteInt64(l.marked)
@@ -162,25 +164,26 @@ func (l *Ledger) DigestState(h *digest.Hash) {
 	h.WriteInt(len(l.ring.buf))
 }
 
-// sortedKeys returns every populated cell key in (where, queue, reason)
+// eachCell calls fn on every populated cell in (label, queue, reason)
 // order, so exports and reports are deterministic.
-func (l *Ledger) sortedKeys() []ledgerKey {
-	keys := make([]ledgerKey, 0, len(l.cells))
-	//tcnlint:ordered keys are sorted before return
-	for k := range l.cells {
-		keys = append(keys, k)
+func (l *Ledger) eachCell(fn func(where string, queue int, reason core.Reason, n int64) error) error {
+	wheres := slices.Clone(l.ports.labels)
+	slices.Sort(wheres)
+	for _, where := range wheres {
+		label := l.ports.ids[where]
+		if int(label) >= len(l.cells) {
+			continue
+		}
+		for i, c := range l.cells[label] {
+			if c.n == 0 {
+				continue
+			}
+			if err := fn(where, i/core.NumReasons, core.Reason(i%core.NumReasons), c.n); err != nil {
+				return err
+			}
+		}
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		a, b := keys[i], keys[j]
-		if a.where != b.where {
-			return a.where < b.where
-		}
-		if a.queue != b.queue {
-			return a.queue < b.queue
-		}
-		return a.reason < b.reason
-	})
-	return keys
+	return nil
 }
 
 // verdictJSON is the NDJSON wire form of a VerdictEvent. Field order is
@@ -222,7 +225,8 @@ type countJSON struct {
 func (l *Ledger) WriteJSONL(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	enc := json.NewEncoder(bw)
-	for _, e := range l.Events() {
+	events := l.Events()
+	for _, e := range events {
 		if err := enc.Encode(verdictJSON{
 			At:      int64(e.At),
 			Where:   e.Where,
@@ -246,20 +250,17 @@ func (l *Ledger) WriteJSONL(w io.Writer) error {
 			return err
 		}
 	}
-	for _, k := range l.sortedKeys() {
-		if err := enc.Encode(countJSON{
-			Count: true, Where: k.where, Queue: k.queue,
-			Reason: k.reason.String(), N: l.cells[k].n,
-		}); err != nil {
-			return err
-		}
+	if err := l.eachCell(func(where string, queue int, reason core.Reason, n int64) error {
+		return enc.Encode(countJSON{Count: true, Where: where, Queue: queue, Reason: reason.String(), N: n})
+	}); err != nil {
+		return err
 	}
 	summary := struct {
 		Summary  bool  `json:"summary"`
 		Marked   int64 `json:"marked"`
 		Dropped  int64 `json:"dropped"`
 		Retained int   `json:"retained"`
-	}{true, l.marked, l.dropped, len(l.Events())}
+	}{true, l.marked, l.dropped, len(events)}
 	if err := enc.Encode(summary); err != nil {
 		return err
 	}
@@ -270,22 +271,22 @@ func (l *Ledger) WriteJSONL(w io.Writer) error {
 // prints: the exact reason histogram per port and queue, plus marked/
 // dropped totals. Deterministic (sorted cells).
 func (l *Ledger) WriteReport(w io.Writer) error {
-	keys := l.sortedKeys()
-	if len(keys) == 0 {
+	if len(l.ring.buf) == 0 {
 		_, err := fmt.Fprintln(w, "no decisive verdicts recorded")
 		return err
 	}
 	last := ""
-	for _, k := range keys {
-		if k.where != last {
-			if _, err := fmt.Fprintf(w, "%s:\n", k.where); err != nil {
+	if err := l.eachCell(func(where string, queue int, reason core.Reason, n int64) error {
+		if where != last {
+			if _, err := fmt.Fprintf(w, "%s:\n", where); err != nil {
 				return err
 			}
-			last = k.where
+			last = where
 		}
-		if _, err := fmt.Fprintf(w, "  q%-3d %-24s %12d\n", k.queue, k.reason, l.cells[k].n); err != nil {
-			return err
-		}
+		_, err := fmt.Fprintf(w, "  q%-3d %-24s %12d\n", queue, reason, n)
+		return err
+	}); err != nil {
+		return err
 	}
 	_, err := fmt.Fprintf(w, "totals: marked=%d dropped=%d incapable=%d\n",
 		l.marked, l.dropped, l.ReasonTotal(core.ReasonECNIncapable))
@@ -293,19 +294,4 @@ func (l *Ledger) WriteReport(w io.Writer) error {
 }
 
 // AttachPort records a port's verdict stream under label.
-func (l *Ledger) AttachPort(label string, pt *fabric.Port) {
-	pt.Observe(&ledgerPort{l: l, label: label})
-}
-
-// ledgerPort is the ledger's observer on one labelled port.
-type ledgerPort struct {
-	l     *Ledger
-	label string
-}
-
-func (lp *ledgerPort) Enqueue(sim.Time, int, *pkt.Packet)  {}
-func (lp *ledgerPort) Transmit(sim.Time, int, *pkt.Packet) {}
-
-func (lp *ledgerPort) Verdict(now sim.Time, qi int, p *pkt.Packet, v *core.Verdict) {
-	lp.l.Record(now, lp.label, qi, p, v)
-}
+func (l *Ledger) AttachPort(label string, pt *fabric.Port) { attach(l, &l.ports, label, pt) }

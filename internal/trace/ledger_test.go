@@ -23,13 +23,14 @@ func verdictAt(r core.Reason, marked, dropped bool) *core.Verdict {
 func TestLedgerRingEviction(t *testing.T) {
 	const capacity, total = 3, 10
 	l := NewLedger(capacity)
+	p0 := l.ports.add("p0", 2, fabric.Gbps)
 	for i := 0; i < total; i++ {
 		r, marked, dropped := core.ReasonTCNThreshold, true, false
 		if i%2 == 1 {
 			r, marked, dropped = core.ReasonBufferOverflow, false, true
 		}
 		p := &pkt.Packet{Flow: pkt.FlowID(i), Size: 1500}
-		l.Record(sim.Time(i), "p0", 0, p, verdictAt(r, marked, dropped))
+		l.verdict(sim.Time(i), p0, 0, p, verdictAt(r, marked, dropped))
 	}
 	ev := l.Events()
 	if len(ev) != capacity {
@@ -125,12 +126,13 @@ func TestLedgerReconcilesWithTracer(t *testing.T) {
 // exact-count lines, then the summary — and byte-for-byte determinism.
 func TestLedgerWriteJSONL(t *testing.T) {
 	l := NewLedger(8)
+	sw := l.ports.add("sw.p2", 2, fabric.Gbps)
 	p := &pkt.Packet{Flow: 7, Seq: 3000, Size: 1500}
 	v := verdictAt(core.ReasonTCNThreshold, true, false)
 	v.Sojourn = 55 * sim.Microsecond
 	v.ThresholdTime = 20 * sim.Microsecond
-	l.Record(5*sim.Microsecond, "sw.p2", 1, p, v)
-	l.Record(6*sim.Microsecond, "sw.p2", 0, &pkt.Packet{Flow: 8, Size: 900},
+	l.verdict(5*sim.Microsecond, sw, 1, p, v)
+	l.verdict(6*sim.Microsecond, sw, 0, &pkt.Packet{Flow: 8, Size: 900},
 		verdictAt(core.ReasonBufferOverflow, false, true))
 
 	var buf strings.Builder
@@ -164,9 +166,10 @@ func TestLedgerWriteJSONL(t *testing.T) {
 // TestLedgerWriteReport checks the -explain rendering.
 func TestLedgerWriteReport(t *testing.T) {
 	l := NewLedger(8)
-	l.Record(0, "sw.p1", 0, &pkt.Packet{Size: 1500}, verdictAt(core.ReasonTCNThreshold, true, false))
-	l.Record(sim.Nanosecond, "sw.p1", 0, &pkt.Packet{Size: 1500}, verdictAt(core.ReasonTCNThreshold, true, false))
-	l.Record(2*sim.Nanosecond, "sw.p1", 1, &pkt.Packet{Size: 900}, verdictAt(core.ReasonBufferOverflow, false, true))
+	sw := l.ports.add("sw.p1", 2, fabric.Gbps)
+	l.verdict(0, sw, 0, &pkt.Packet{Size: 1500}, verdictAt(core.ReasonTCNThreshold, true, false))
+	l.verdict(sim.Nanosecond, sw, 0, &pkt.Packet{Size: 1500}, verdictAt(core.ReasonTCNThreshold, true, false))
+	l.verdict(2*sim.Nanosecond, sw, 1, &pkt.Packet{Size: 900}, verdictAt(core.ReasonBufferOverflow, false, true))
 	var buf strings.Builder
 	if err := l.WriteReport(&buf); err != nil {
 		t.Fatal(err)

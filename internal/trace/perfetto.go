@@ -23,47 +23,16 @@ import (
 // (Perfetto traces are for inspecting dynamics, not exact accounting —
 // the Ledger and Tracer carry exact counters).
 type Pipeline struct {
-	tracks []pipeTrack
-	ring   ring[pipeEvent]
+	ring  ring[record]
+	ports portTable // pid = index+1, tid 0 = wire, tid i+1 = queue i
 
 	recorded int64 // total events offered, including evicted
-}
-
-// pipeTrack is one attached port: its label and queue count fix the
-// pid/tid numbering (pid = index+1 in attach order, tid 0 = wire,
-// tid i+1 = queue i).
-type pipeTrack struct {
-	label  string
-	queues int
-}
-
-// pipeKind discriminates the stored event shapes.
-type pipeKind uint8
-
-const (
-	pipeQueued pipeKind = iota // span on queue track: enqueue → dequeue
-	pipeWire                   // span on wire track: dequeue → tx done
-	pipeMark                   // instant: CE applied (reason attached)
-	pipeDrop                   // instant: admission drop
-)
-
-// pipeEvent is one ring slot, compact and pointer-free.
-type pipeEvent struct {
-	track  int32
-	queue  int32
-	kind   pipeKind
-	reason core.Reason
-	start  sim.Time
-	dur    sim.Time
-	flow   pkt.FlowID
-	seq    int64
-	size   int32
 }
 
 // NewPipeline returns a pipeline recorder retaining up to capacity
 // events.
 func NewPipeline(capacity int) *Pipeline {
-	return &Pipeline{ring: newRing[pipeEvent](capacity)}
+	return &Pipeline{ring: newRing[record](capacity)}
 }
 
 // Recorded returns the total number of events offered (exact, including
@@ -71,57 +40,39 @@ func NewPipeline(capacity int) *Pipeline {
 func (pl *Pipeline) Recorded() int64 { return pl.recorded }
 
 // record adds one event to the ring.
-func (pl *Pipeline) record(e pipeEvent) {
+func (pl *Pipeline) record(r record) {
 	pl.recorded++
-	pl.ring.push(e)
-}
-
-// addTrack registers one port's tracks and returns its index.
-func (pl *Pipeline) addTrack(label string, queues int) int32 {
-	pl.tracks = append(pl.tracks, pipeTrack{label: label, queues: queues})
-	return int32(len(pl.tracks) - 1)
+	pl.ring.push(r)
 }
 
 // AttachPort records a fabric port's pipeline under label: a "queued"
 // span per transmitted packet (admission to scheduler pick), a "wire"
 // span for its serialization time, and mark/drop instants from the
 // verdict stream.
-func (pl *Pipeline) AttachPort(label string, pt *fabric.Port) {
-	pt.Observe(&pipePort{pl: pl, tr: pl.addTrack(label, pt.NumQueues()), rate: pt.Rate()})
+func (pl *Pipeline) AttachPort(label string, pt *fabric.Port) { attach(pl, &pl.ports, label, pt) }
+
+func (pl *Pipeline) transmit(now sim.Time, port int32, qi int, p *pkt.Packet) {
+	r := newRecord(p.EnqueuedAt, queuedSpan, port, qi, p)
+	r.dur = now - p.EnqueuedAt
+	pl.record(r)
+	r.at, r.kind, r.dur = now, wireSpan, pl.ports.ports[port].rate.Serialize(p.Size)
+	pl.record(r)
 }
 
-// pipePort is the pipeline recorder's observer on one port track.
-type pipePort struct {
-	pl   *Pipeline
-	tr   int32
-	rate fabric.Rate
-}
-
-func (pp *pipePort) Enqueue(sim.Time, int, *pkt.Packet) {}
-
-func (pp *pipePort) Transmit(now sim.Time, qi int, p *pkt.Packet) {
-	pp.pl.record(pipeEvent{track: pp.tr, queue: int32(qi), kind: pipeQueued,
-		start: p.EnqueuedAt, dur: now - p.EnqueuedAt,
-		flow: p.Flow, seq: p.Seq, size: int32(p.Size)})
-	pp.pl.record(pipeEvent{track: pp.tr, queue: int32(qi), kind: pipeWire,
-		start: now, dur: pp.rate.Serialize(p.Size),
-		flow: p.Flow, seq: p.Seq, size: int32(p.Size)})
-}
-
-// Verdict turns a decisive verdict into a mark or drop instant.
+// verdict turns a decisive verdict into a mark or drop instant.
 // Threshold crossings that could not mark (ECNIncapable) are ledger
 // material, not timeline instants.
-func (pp *pipePort) Verdict(now sim.Time, qi int, p *pkt.Packet, v *core.Verdict) {
-	kind := pipeMark
+func (pl *Pipeline) verdict(now sim.Time, port int32, qi int, p *pkt.Packet, v *core.Verdict) {
+	kind := Mark
 	switch {
 	case v.Dropped:
-		kind = pipeDrop
+		kind = Drop
 	case !v.Marked:
 		return
 	}
-	pp.pl.record(pipeEvent{track: pp.tr, queue: int32(qi), kind: kind,
-		reason: v.Reason, start: now,
-		flow: p.Flow, seq: p.Seq, size: int32(p.Size)})
+	r := newRecord(now, kind, port, qi, p)
+	r.reason = v.Reason
+	pl.record(r)
 }
 
 // Chrome trace-event JSON shapes. Field order is fixed by the structs,
@@ -160,53 +111,35 @@ func usec(t sim.Time) float64 { return float64(t) / 1e3 }
 // instants (named by core.EventKind, matching every other export).
 func (pl *Pipeline) WriteJSON(w io.Writer) error {
 	doc := perfettoDoc{TraceEvents: []perfettoEvent{}, DisplayTimeUnit: "ns"}
-	for ti, tr := range pl.tracks {
-		pid := ti + 1
-		doc.TraceEvents = append(doc.TraceEvents, perfettoEvent{
-			Name: "process_name", Ph: "M", Pid: pid,
-			Args: &perfettoArgs{Name: tr.label},
-		})
-		doc.TraceEvents = append(doc.TraceEvents, perfettoEvent{
-			Name: "thread_name", Ph: "M", Pid: pid, Tid: 0,
-			Args: &perfettoArgs{Name: "wire"},
-		})
+	meta := func(name string, pid, tid int, arg string) {
+		doc.TraceEvents = append(doc.TraceEvents,
+			perfettoEvent{Name: name, Ph: "M", Pid: pid, Tid: tid, Args: &perfettoArgs{Name: arg}})
+	}
+	for i, tr := range pl.ports.ports {
+		meta("process_name", i+1, 0, pl.ports.labels[tr.label])
+		meta("thread_name", i+1, 0, "wire")
 		for qi := 0; qi < tr.queues; qi++ {
-			doc.TraceEvents = append(doc.TraceEvents, perfettoEvent{
-				Name: "thread_name", Ph: "M", Pid: pid, Tid: qi + 1,
-				Args: &perfettoArgs{Name: fmt.Sprintf("q%d", qi)},
-			})
+			meta("thread_name", i+1, qi+1, fmt.Sprintf("q%d", qi))
 		}
 	}
-	for _, e := range pl.ring.ordered() {
-		pid := int(e.track) + 1
-		ev := perfettoEvent{Pid: pid, Ts: usec(e.start)}
+	doc.TraceEvents = append(doc.TraceEvents, ordered(&pl.ring, func(e *record) perfettoEvent {
+		ev := perfettoEvent{Pid: int(e.port) + 1, Tid: int(e.queue) + 1, Ts: usec(e.at),
+			Args: &perfettoArgs{Flow: int32(e.flow), Seq: e.seq, Size: e.size}}
 		switch e.kind {
-		case pipeQueued, pipeMark, pipeDrop:
-			ev.Tid = int(e.queue) + 1
-		case pipeWire:
-			ev.Tid = 0
-		}
-		switch e.kind {
-		case pipeQueued:
+		case queuedSpan:
 			ev.Name, ev.Ph = "queued", "X"
-		case pipeWire:
-			ev.Name, ev.Ph = "wire", "X"
-		case pipeMark:
-			ev.Name, ev.Ph, ev.S = core.EventMark.String(), "i", "t"
-		case pipeDrop:
-			ev.Name, ev.Ph, ev.S = core.EventDrop.String(), "i", "t"
+		case wireSpan:
+			ev.Name, ev.Ph, ev.Tid = "wire", "X", 0
+		default: // Mark and Drop instants
+			ev.Name, ev.Ph, ev.S = e.kind.String(), "i", "t"
+			ev.Args.Reason = e.reason.String()
 		}
 		if ev.Ph == "X" {
 			d := usec(e.dur)
 			ev.Dur = &d
 		}
-		args := &perfettoArgs{Flow: int32(e.flow), Seq: e.seq, Size: e.size}
-		if e.kind == pipeMark || e.kind == pipeDrop {
-			args.Reason = e.reason.String()
-		}
-		ev.Args = args
-		doc.TraceEvents = append(doc.TraceEvents, ev)
-	}
+		return ev
+	})...)
 	bw := bufio.NewWriter(w)
 	enc := json.NewEncoder(bw)
 	if err := enc.Encode(doc); err != nil {

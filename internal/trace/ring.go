@@ -28,9 +28,11 @@ func (r *ring[T]) push(v T) {
 	r.filled = true
 }
 
-// ordered returns a copy of the retained values, oldest first.
-func (r *ring[T]) ordered() []T {
-	out := make([]T, 0, len(r.buf))
-	out = append(out, r.buf[r.next:]...)
-	return append(out, r.buf[:r.next]...)
+// ordered returns fn of each retained value, oldest first.
+func ordered[T, V any](r *ring[T], fn func(*T) V) []V {
+	out := make([]V, 0, len(r.buf))
+	for i := range r.buf {
+		out = append(out, fn(&r.buf[(r.next+i)%len(r.buf)]))
+	}
+	return out
 }

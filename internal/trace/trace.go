@@ -1,7 +1,12 @@
-// Package trace records per-packet events (transmissions, CE marks,
-// drops) from fabric ports into a bounded ring buffer, for debugging
-// simulations and asserting packet-level behaviour in tests without
-// accumulating unbounded state on long runs.
+// Package trace holds the packet-event sinks that explain a run packet by
+// packet: the Tracer (transmissions, CE marks, drops), the decision Ledger
+// (every decisive verdict with the inputs its rule consulted) and the
+// Perfetto Pipeline (per-packet queue and wire spans). Each attaches one
+// observer per port, keeps exact counters that never evict, and retains
+// recent events in a bounded ring of its own capacity. Every ring stores
+// one pointer-free record naming its port by index into the sink's port
+// table, so recording allocates nothing and the garbage collector never
+// scans a ring; labels are looked up only by the exports and Events views.
 package trace
 
 import (
@@ -28,19 +33,19 @@ const (
 	Drop = core.EventDrop
 )
 
-// Event is one recorded occurrence. The packet is summarized by value so
-// the trace stays valid after the packet moves on.
+// Event is the labelled view of one recorded occurrence. Its fields, in
+// order, are one line of the tracer's JSONL export.
 type Event struct {
-	At    sim.Time
-	Kind  Kind
-	Where string // port label
-	Queue int
+	At    sim.Time `json:"at_ns"`
+	Kind  Kind     `json:"kind"`
+	Where string   `json:"where"` // port label
+	Queue int      `json:"queue"`
 
-	Flow pkt.FlowID
-	Seq  int64
-	Size int
-	DSCP uint8
-	ECN  pkt.ECN
+	Flow pkt.FlowID `json:"flow"`
+	Seq  int64      `json:"seq"`
+	Size int        `json:"size"`
+	DSCP uint8      `json:"dscp"`
+	ECN  pkt.ECN    `json:"ecn"`
 }
 
 // String renders one line suitable for logs.
@@ -53,61 +58,44 @@ func (e Event) String() string {
 // the oldest events are overwritten. Counters are exact regardless of
 // eviction.
 type Tracer struct {
-	ring   ring[Event]
+	ring   ring[record]
+	ports  portTable
 	counts [core.NumEventKinds]int64
 }
 
 // New returns a tracer holding up to capacity events.
 func New(capacity int) *Tracer {
-	return &Tracer{ring: newRing[Event](capacity)}
+	return &Tracer{ring: newRing[record](capacity)}
 }
 
-// Record adds one event.
-func (t *Tracer) Record(e Event) {
-	t.counts[e.Kind]++
-	t.ring.push(e)
+// record adds one event.
+func (t *Tracer) record(r record) {
+	t.counts[r.kind]++
+	t.ring.push(r)
 }
 
 // Events returns the retained events in chronological order.
-func (t *Tracer) Events() []Event { return t.ring.ordered() }
+func (t *Tracer) Events() []Event { return ordered(&t.ring, t.ports.event) }
 
 // Count returns how many events of a kind were recorded (including
 // evicted ones).
 func (t *Tracer) Count(k Kind) int64 { return t.counts[k] }
 
-// summarize converts a live packet into an event skeleton.
-func summarize(now sim.Time, kind Kind, where string, qi int, p *pkt.Packet) Event {
-	return Event{
-		At: now, Kind: kind, Where: where, Queue: qi,
-		Flow: p.Flow, Seq: p.Seq, Size: p.Size, DSCP: p.DSCP, ECN: p.ECN,
-	}
-}
-
 // AttachPort records a port's transmissions and drops under label.
 // CE-marked transmissions are recorded as Mark events, others as
 // Transmit.
-func (t *Tracer) AttachPort(label string, port *fabric.Port) {
-	port.Observe(&portTrace{t: t, label: label})
-}
+func (t *Tracer) AttachPort(label string, port *fabric.Port) { attach(t, &t.ports, label, port) }
 
-// portTrace is the tracer's observer on one labelled port.
-type portTrace struct {
-	t     *Tracer
-	label string
-}
-
-func (pt *portTrace) Enqueue(sim.Time, int, *pkt.Packet) {}
-
-func (pt *portTrace) Verdict(now sim.Time, qi int, p *pkt.Packet, v *core.Verdict) {
+func (t *Tracer) verdict(now sim.Time, port int32, qi int, p *pkt.Packet, v *core.Verdict) {
 	if v.Dropped {
-		pt.t.Record(summarize(now, Drop, pt.label, qi, p))
+		t.record(newRecord(now, Drop, port, qi, p))
 	}
 }
 
-func (pt *portTrace) Transmit(now sim.Time, qi int, p *pkt.Packet) {
+func (t *Tracer) transmit(now sim.Time, port int32, qi int, p *pkt.Packet) {
 	kind := Transmit
 	if p.ECN == pkt.CE {
 		kind = Mark
 	}
-	pt.t.Record(summarize(now, kind, pt.label, qi, p))
+	t.record(newRecord(now, kind, port, qi, p))
 }

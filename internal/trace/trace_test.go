@@ -11,14 +11,22 @@ import (
 	"tcn/internal/sim"
 )
 
-func ev(at sim.Time, k Kind, flow pkt.FlowID) Event {
-	return Event{At: at, Kind: k, Where: "p0", Flow: flow, Size: 1500, ECN: pkt.ECT0}
+// newTestTracer returns a tracer with one attached port, port 0, under
+// label, for recording synthetic events on.
+func newTestTracer(capacity int, label string) *Tracer {
+	tr := New(capacity)
+	tr.ports.add(label, 2, fabric.Gbps)
+	return tr
+}
+
+func ev(at sim.Time, k Kind, flow pkt.FlowID) record {
+	return record{at: at, kind: k, flow: flow, size: 1500, ecn: pkt.ECT0}
 }
 
 func TestRingKeepsNewest(t *testing.T) {
-	tr := New(3)
+	tr := newTestTracer(3, "p0")
 	for i := 0; i < 5; i++ {
-		tr.Record(ev(sim.Time(i), Transmit, pkt.FlowID(i)))
+		tr.record(ev(sim.Time(i), Transmit, pkt.FlowID(i)))
 	}
 	got := tr.Events()
 	if len(got) != 3 {
@@ -35,9 +43,9 @@ func TestRingKeepsNewest(t *testing.T) {
 }
 
 func TestEventsBeforeWrap(t *testing.T) {
-	tr := New(10)
-	tr.Record(ev(1*sim.Nanosecond, Transmit, 1))
-	tr.Record(ev(2*sim.Nanosecond, Drop, 2))
+	tr := newTestTracer(10, "p0")
+	tr.record(ev(1*sim.Nanosecond, Transmit, 1))
+	tr.record(ev(2*sim.Nanosecond, Drop, 2))
 	got := tr.Events()
 	if len(got) != 2 || got[0].Flow != 1 || got[1].Kind != Drop {
 		t.Fatalf("events: %v", got)
@@ -45,7 +53,7 @@ func TestEventsBeforeWrap(t *testing.T) {
 }
 
 func TestEventString(t *testing.T) {
-	s := ev(5*sim.Microsecond, Mark, 7).String()
+	s := Event{At: 5 * sim.Microsecond, Kind: Mark, Where: "p0", Flow: 7, Size: 1500, ECN: pkt.ECT0}.String()
 	for _, want := range []string{"mark", "p0", "flow=7", "ECT(0)"} {
 		if !strings.Contains(s, want) {
 			t.Errorf("String() = %q missing %q", s, want)
@@ -155,13 +163,13 @@ func TestAttachPortFansOut(t *testing.T) {
 // `capacity` events in exact chronological order, with counters exact.
 func TestRingEvictionAcrossMultipleWraps(t *testing.T) {
 	const capacity, total = 7, 100
-	tr := New(capacity)
+	tr := newTestTracer(capacity, "p0")
 	for i := 0; i < total; i++ {
 		k := Transmit
 		if i%3 == 0 {
 			k = Drop
 		}
-		tr.Record(ev(sim.Time(i), k, pkt.FlowID(i)))
+		tr.record(ev(sim.Time(i), k, pkt.FlowID(i)))
 		// Invariant holds at every step, not just at the end.
 		got := tr.Events()
 		want := i + 1
@@ -185,11 +193,11 @@ func TestRingEvictionAcrossMultipleWraps(t *testing.T) {
 }
 
 func TestWriteJSONL(t *testing.T) {
-	tr := New(10)
-	tr.Record(Event{At: 5 * sim.Microsecond, Kind: Mark, Where: "sw.p2", Queue: 1,
-		Flow: 7, Seq: 3000, Size: 1500, DSCP: 1, ECN: pkt.CE})
-	tr.Record(Event{At: 6 * sim.Microsecond, Kind: Drop, Where: "sw.p2", Queue: 0,
-		Flow: 8, Size: 900, ECN: pkt.ECT0})
+	tr := newTestTracer(10, "sw.p2")
+	tr.record(record{at: 5 * sim.Microsecond, kind: Mark, queue: 1,
+		flow: 7, seq: 3000, size: 1500, dscp: 1, ecn: pkt.CE})
+	tr.record(record{at: 6 * sim.Microsecond, kind: Drop, queue: 0,
+		flow: 8, size: 900, ecn: pkt.ECT0})
 	var buf strings.Builder
 	if err := tr.WriteJSONL(&buf); err != nil {
 		t.Fatal(err)
